@@ -35,12 +35,12 @@ class AdaptParams:
     def __post_init__(self):
         if self.lambda_temporal < 0.0 or self.mu_mask < 0.0:
             raise DataError("loss weights must be non-negative")
-        if self.step_size <= 0.0:
-            raise DataError(f"step_size must be positive, got {self.step_size}")
+        if not (np.isfinite(self.step_size) and self.step_size > 0.0):
+            raise DataError(f"step_size must be finite and positive, got {self.step_size}")
         if self.max_iters < 1:
             raise DataError(f"max_iters must be >= 1, got {self.max_iters}")
-        if self.tol < 0.0:
-            raise DataError(f"tol must be >= 0, got {self.tol}")
+        if not (np.isfinite(self.tol) and self.tol >= 0.0):
+            raise DataError(f"tol must be finite and >= 0, got {self.tol}")
         if not 0.0 < self.backtrack_factor < 1.0:
             raise DataError(
                 f"backtrack_factor must lie in (0, 1), got {self.backtrack_factor}"
@@ -92,6 +92,8 @@ def adapt_sequence(
     exists. Returns the smoothed fields and the accepted-state history.
     """
     pseudo_seq = list(pseudo_seq)
+    masks = list(masks)
+    f_fwd_seq = list(f_fwd_seq)
     if len(pseudo_seq) < 3:
         raise ShapeError(f"adaptation needs >= 3 frames, got {len(pseudo_seq)}")
     lw = LossWeights(

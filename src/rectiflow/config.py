@@ -11,7 +11,7 @@ import configparser
 from dataclasses import dataclass
 from pathlib import Path
 
-from .errors import ConfigError
+from .errors import ConfigError, DataError
 from .synth import CameraSpec, JitterProfile, JitterSpec
 from .interflow import HSParams
 from .losses import LossWeights
@@ -189,7 +189,7 @@ def load_config(path, seed: int | None = None, out: str | None = None,
             f"[metrics] low_band must be two comma-separated integers, got {band_text!r}"
         ) from None
 
-    return PipelineConfig(
+    cfg = PipelineConfig(
         mode=mode,
         seed=seed,
         frames=frames,
@@ -233,6 +233,13 @@ def load_config(path, seed: int | None = None, out: str | None = None,
         pseudo_dir=ingest.get_str("pseudo_dir"),
         annotations=ingest.get_str("annotations"),
     )
+    if cfg.adaptation:
+        # Bad optimizer settings must fail here, before any stage writes.
+        try:
+            build_adapt_params(cfg)
+        except DataError as exc:
+            raise ConfigError(f"invalid adaptation settings: {exc}") from None
+    return cfg
 
 
 def build_camera(cfg: PipelineConfig) -> CameraSpec:

@@ -198,14 +198,18 @@ class Mask:
         return self.values.astype(np.float64)
 
 
-def _bilinear_terms(h: int, w: int, xs: np.ndarray, ys: np.ndarray, policy: BorderPolicy):
-    """Shared corner indices and weights for value and derivative sampling.
+def _bilinear(fields, xs, ys, policy: BorderPolicy, with_grad: bool = False) -> list:
+    """Bilinear samples of same-shape 2-D rasters at one set of points.
 
-    Returns (x0, y0, x1, y1, ax, ay, wx_valid) where for the ZERO policy
-    corner contributions are masked by per-corner validity, and for CLAMP
-    the fractional parts are zeroed outside the grid (so derivatives
-    through the clamp vanish, matching the sampled value exactly).
+    All fields share one set of corner indices and weights, and gather
+    their corners through flat indices. Returns one value array per field
+    or, with_grad, one (value, d/dx, d/dy) triple per field. For the ZERO
+    policy corner contributions are masked by per-corner validity; for
+    CLAMP the fractional parts are zeroed outside the grid and the
+    derivatives are zero wherever a coordinate was pinned, so they are
+    exact for the sampled values. Inputs are not validated here.
     """
+    h, w = fields[0].shape
     if policy is BorderPolicy.CLAMP:
         xq = np.clip(xs, 0.0, w - 1.0)
         yq = np.clip(ys, 0.0, h - 1.0)
@@ -235,21 +239,35 @@ def _bilinear_terms(h: int, w: int, xs: np.ndarray, ys: np.ndarray, policy: Bord
         x1 = np.clip(x1, 0, w - 1)
         y0 = np.clip(y0, 0, h - 1)
         y1 = np.clip(y1, 0, h - 1)
-    return x0, y0, x1, y1, ax, ay, valid
-
-
-def _corner_values(field: np.ndarray, x0, y0, x1, y1, valid):
-    f00 = field[y0, x0]
-    f10 = field[y0, x1]
-    f01 = field[y1, x0]
-    f11 = field[y1, x1]
-    if valid is not None:
-        (vx0, vy0), (vx1, vy1) = valid
-        f00 = np.where(vx0 & vy0, f00, 0.0)
-        f10 = np.where(vx1 & vy0, f10, 0.0)
-        f01 = np.where(vx0 & vy1, f01, 0.0)
-        f11 = np.where(vx1 & vy1, f11, 0.0)
-    return f00, f10, f01, f11
+    row0 = y0 * w
+    row1 = y1 * w
+    corners = (row0 + x0, row0 + x1, row1 + x0, row1 + x1)
+    bx = 1.0 - ax
+    by = 1.0 - ay
+    w00, w10, w01, w11 = bx * by, ax * by, bx * ay, ax * ay
+    if with_grad and policy is BorderPolicy.CLAMP:
+        inside_x = (xs > 0.0) & (xs < w - 1.0)
+        inside_y = (ys > 0.0) & (ys < h - 1.0)
+    out = []
+    for field in fields:
+        flat = field.ravel()
+        f00, f10, f01, f11 = (flat.take(i) for i in corners)
+        if valid is not None:
+            (vx0, vy0), (vx1, vy1) = valid
+            f00 = np.where(vx0 & vy0, f00, 0.0)
+            f10 = np.where(vx1 & vy0, f10, 0.0)
+            f01 = np.where(vx0 & vy1, f01, 0.0)
+            f11 = np.where(vx1 & vy1, f11, 0.0)
+        val = w00 * f00 + w10 * f10 + w01 * f01 + w11 * f11
+        if with_grad:
+            ddx = by * (f10 - f00) + ay * (f11 - f01)
+            ddy = bx * (f01 - f00) + ax * (f11 - f10)
+            if policy is BorderPolicy.CLAMP:
+                ddx = np.where(inside_x, ddx, 0.0)
+                ddy = np.where(inside_y, ddy, 0.0)
+            val = (val, ddx, ddy)
+        out.append(val)
+    return out
 
 
 def sample_bilinear(field, xs, ys, policy: BorderPolicy) -> np.ndarray:
@@ -268,15 +286,7 @@ def sample_bilinear(field, xs, ys, policy: BorderPolicy) -> np.ndarray:
         raise ShapeError("xs and ys must have the same shape")
     if not (np.all(np.isfinite(xs)) and np.all(np.isfinite(ys))):
         raise DataError("sample coordinates must be finite")
-    h, w = field.shape
-    x0, y0, x1, y1, ax, ay, valid = _bilinear_terms(h, w, xs, ys, policy)
-    f00, f10, f01, f11 = _corner_values(field, x0, y0, x1, y1, valid)
-    return (
-        (1.0 - ax) * (1.0 - ay) * f00
-        + ax * (1.0 - ay) * f10
-        + (1.0 - ax) * ay * f01
-        + ax * ay * f11
-    )
+    return _bilinear((field,), xs, ys, policy)[0]
 
 
 def sample_bilinear_with_grad(field, xs, ys, policy: BorderPolicy):
@@ -287,25 +297,9 @@ def sample_bilinear_with_grad(field, xs, ys, policy: BorderPolicy):
     particular they are zero wherever CLAMP has pinned a coordinate.
     """
     field = _as_field(field, "field")
-    h, w = field.shape
     xs = np.asarray(xs, dtype=np.float64)
     ys = np.asarray(ys, dtype=np.float64)
-    x0, y0, x1, y1, ax, ay, valid = _bilinear_terms(h, w, xs, ys, policy)
-    f00, f10, f01, f11 = _corner_values(field, x0, y0, x1, y1, valid)
-    val = (
-        (1.0 - ax) * (1.0 - ay) * f00
-        + ax * (1.0 - ay) * f10
-        + (1.0 - ax) * ay * f01
-        + ax * ay * f11
-    )
-    ddx = (1.0 - ay) * (f10 - f00) + ay * (f11 - f01)
-    ddy = (1.0 - ax) * (f01 - f00) + ax * (f11 - f10)
-    if policy is BorderPolicy.CLAMP:
-        inside_x = (xs > 0.0) & (xs < w - 1.0)
-        inside_y = (ys > 0.0) & (ys < h - 1.0)
-        ddx = np.where(inside_x, ddx, 0.0)
-        ddy = np.where(inside_y, ddy, 0.0)
-    return val, ddx, ddy
+    return _bilinear((field,), xs, ys, policy, with_grad=True)[0]
 
 
 def warp_backward(image: Frame, flow: FlowField, policy: BorderPolicy = BorderPolicy.CLAMP) -> Frame:

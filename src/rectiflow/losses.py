@@ -19,8 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError, ShapeError
-from .field import BorderPolicy, FlowField, Frame, Mask, make_grid, sample_bilinear_with_grad
-from .trajectory import TrajectorySeries, trajectory_of_sequence
+from .field import FlowField, Frame, Mask
+from .trajectory import TrajectorySeries, backward_residuals
 
 SOBEL_X = np.array([[-1.0, 0.0, 1.0], [-2.0, 0.0, 2.0], [-1.0, 0.0, 1.0]])
 SOBEL_Y = SOBEL_X.T
@@ -195,22 +195,19 @@ def loss_image(f: FlowField, f_gt: FlowField, i_hat: Frame, i_gt: Frame, m: Mask
     return _report(terms, weights)
 
 
-def _temporal_from_positions(positions: np.ndarray) -> float:
-    n = positions.shape[0]
-    if n < 3:
-        raise ShapeError(f"temporal loss needs >= 3 frames, got {n}")
-    d2 = positions[2:] - 2.0 * positions[1:-1] + positions[:-2]
-    norms = np.sqrt(np.sum(d2 * d2, axis=-1))
-    return float(np.mean(norms))
-
-
 def loss_temporal(series: TrajectorySeries) -> float:
     """Mean per-pixel magnitude of the trajectory's second differences.
 
     Zero exactly when positions are affine in t (constant-velocity
     trajectories), which is the smoothness target.
     """
-    return _temporal_from_positions(series.positions)
+    positions = series.positions
+    n = positions.shape[0]
+    if n < 3:
+        raise ShapeError(f"temporal loss needs >= 3 frames, got {n}")
+    d2 = positions[2:] - 2.0 * positions[1:-1] + positions[:-2]
+    norms = np.sqrt(np.sum(d2 * d2, axis=-1))
+    return float(np.mean(norms))
 
 
 def _check_video_args(f_seq, pseudo_seq, masks, f_fwd_seq):
@@ -229,6 +226,47 @@ def _check_video_args(f_seq, pseudo_seq, masks, f_fwd_seq):
     return f_seq, pseudo_seq, masks, f_fwd_seq
 
 
+def _trajectory_pass(f_seq, f_fwd_seq, with_grad: bool):
+    """Walk the backward-residual trajectory once, a frame at a time.
+
+    Each pair's residual advances the running position R(t) by the same
+    explicit prefix sum as `accumulate`, and each new position closes one
+    second difference d2 = R(t+1) - 2 R(t) + R(t-1). Returns the norms of
+    all N-2 second differences as an (N-2, H, W) array or, with_grad, the
+    (u, v) unit vectors of the second differences and every pair's
+    sampling slopes (see `backward_residuals`), both in frame order.
+    """
+    n = len(f_seq)
+    if n < 3:
+        raise ShapeError(f"temporal loss needs >= 3 frames, got {n}")
+    h, w = f_seq[0].shape
+    norms = None if with_grad else np.empty((n - 2, h, w))
+    units, slopes = [], []
+    zero = np.zeros((h, w))
+    before, last = None, (zero, zero)
+    for t, item in enumerate(backward_residuals(f_seq, f_fwd_seq, with_grad)):
+        if with_grad:
+            item, pair_slopes = item
+            slopes.append(pair_slopes)
+        pos = (last[0] + item[0], last[1] + item[1])
+        if before is not None:
+            d2u = pos[0] - 2.0 * last[0] + before[0]
+            d2v = pos[1] - 2.0 * last[1] + before[1]
+            norm = np.sqrt(d2u * d2u + d2v * d2v)
+            if with_grad:
+                # Below-roundoff second differences are exactly smooth;
+                # normalizing them would turn prefix-sum float noise into
+                # unit-magnitude gradients.
+                solid = norm > 1e-12
+                denom = np.where(solid, norm, 1.0)
+                units.append((np.where(solid, d2u / denom, 0.0),
+                              np.where(solid, d2v / denom, 0.0)))
+            else:
+                norms[t - 1] = norm
+        before, last = last, pos
+    return (units, slopes) if with_grad else norms
+
+
 def loss_video(f_seq, pseudo_seq, masks, f_fwd_seq, lw: LossWeights = LossWeights()) -> LossReport:
     """Video-stage objective: mean per-frame spatial loss + weighted temporal loss.
 
@@ -241,8 +279,8 @@ def loss_video(f_seq, pseudo_seq, masks, f_fwd_seq, lw: LossWeights = LossWeight
     for f, p, m in zip(f_seq, pseudo_seq, masks):
         spatial += loss_flow(f, p) + lw.mu_mask * loss_mask(f, p, m)
     spatial /= len(f_seq)
-    series = trajectory_of_sequence(f_seq, f_fwd_seq)
-    terms = {"spatial": spatial, "temporal": loss_temporal(series)}
+    temporal = float(np.mean(_trajectory_pass(f_seq, f_fwd_seq, with_grad=False)))
+    terms = {"spatial": spatial, "temporal": temporal}
     weights = {"spatial": 1.0, "temporal": lw.lambda_temporal}
     return _report(terms, weights)
 
@@ -250,11 +288,14 @@ def loss_video(f_seq, pseudo_seq, masks, f_fwd_seq, lw: LossWeights = LossWeight
 def grad_video(f_seq, pseudo_seq, masks, f_fwd_seq, lw: LossWeights = LossWeights()) -> np.ndarray:
     """Analytic gradient of loss_video w.r.t. every flow coordinate.
 
-    Returns (N, H, W, 2) with d(total)/d(u_t, v_t) per frame. The temporal
-    part backpropagates through second differences, the prefix-sum
-    accumulation, and the bilinear sampling of each inter-frame flow at
-    the correction-displaced coordinates (clamped samples contribute zero
-    positional derivative, matching the forward computation exactly).
+    Returns (N, H, W, 2) with d(total)/d(u_t, v_t) per frame. The spatial
+    part is per frame. The temporal part takes one forward pass over the
+    frames, sampling each inter-frame flow once for both channels and its
+    slopes, then one backward pass that forms the suffix sums of
+    d(temporal)/dR(t) and chains them through the residuals and the
+    bilinear sampling at the correction-displaced coordinates (clamped
+    samples contribute zero positional derivative, matching the forward
+    computation exactly).
     """
     f_seq, pseudo_seq, masks, f_fwd_seq = _check_video_args(f_seq, pseudo_seq, masks, f_fwd_seq)
     n = len(f_seq)
@@ -278,38 +319,35 @@ def grad_video(f_seq, pseudo_seq, masks, f_fwd_seq, lw: LossWeights = LossWeight
     if lw.lambda_temporal <= 0.0 or n < 3:
         return grad
 
-    series = trajectory_of_sequence(f_seq, f_fwd_seq)
-    positions = series.positions
-    d2 = positions[2:] - 2.0 * positions[1:-1] + positions[:-2]  # (N-2, H, W, 2)
-    norms = np.sqrt(np.sum(d2 * d2, axis=-1, keepdims=True))
-    # Below-roundoff second differences are exactly smooth; normalizing
-    # them would turn prefix-sum float noise into unit-magnitude gradients.
-    solid = norms > 1e-12
-    unit = np.where(solid, d2 / np.where(solid, norms, 1.0), 0.0)
+    units, slopes = _trajectory_pass(f_seq, f_fwd_seq, with_grad=True)
     c = lw.lambda_temporal / ((n - 2) * hw)
-
-    # d(temporal)/dR_s: spread each second difference's unit vector.
-    g_pos = np.zeros((n, h, w, 2))
-    g_pos[2:] += c * unit
-    g_pos[1:-1] -= 2.0 * c * unit
-    g_pos[:-2] += c * unit
-
-    # d/dr_t = suffix sums of d/dR_s (R_s sums r_1..r_s); index 0 unused (r_1 = 0).
-    g_res = np.cumsum(g_pos[::-1], axis=0)[::-1]
-
-    grid = make_grid(h, w)
-    for t in range(1, n):
-        g = g_res[t]  # gradient w.r.t. residual of pair (t-1) -> t
-        # r_t = f_{t-1}(p + F_{t-1}(p)) + F_{t-1}(p) - F_t(p)
-        grad[t, ..., 0] -= g[..., 0]
-        grad[t, ..., 1] -= g[..., 1]
-        grad[t - 1, ..., 0] += g[..., 0]
-        grad[t - 1, ..., 1] += g[..., 1]
-        fw = f_fwd_seq[t - 1]
-        xs = grid.x + f_seq[t - 1].u
-        ys = grid.y + f_seq[t - 1].v
-        _, du_dx, du_dy = sample_bilinear_with_grad(fw.u, xs, ys, BorderPolicy.CLAMP)
-        _, dv_dx, dv_dy = sample_bilinear_with_grad(fw.v, xs, ys, BorderPolicy.CLAMP)
-        grad[t - 1, ..., 0] += g[..., 0] * du_dx + g[..., 1] * dv_dx
-        grad[t - 1, ..., 1] += g[..., 0] * du_dy + g[..., 1] * dv_dy
+    # Backward over frames. g_pos(t) = d(temporal)/dR(t) spreads the unit
+    # second differences onto their three positions; R(s) sums r(1..s), so
+    # d/dr(t) is the suffix sum g_res(t) = g_res(t+1) + g_pos(t). Since
+    # r(t+1) = f_fwd(p + F_t(p)) + F_t(p) - F_{t+1}(p), frame t receives
+    # -g_res(t), then g_res(t+1) and its chain through pair t's slopes, in
+    # that order, so every sum rounds as in the whole-array formulation.
+    g_next = None
+    for t in range(n - 1, -1, -1):
+        g_res = None
+        if t >= 1:
+            g_res = []
+            for ch in (0, 1):
+                g_pos = np.zeros((h, w))
+                if t >= 2:
+                    g_pos += c * units[t - 2][ch]
+                if t <= n - 2:
+                    g_pos -= 2.0 * c * units[t - 1][ch]
+                if t <= n - 3:
+                    g_pos += c * units[t][ch]
+                g_res.append(g_pos if g_next is None else g_next[ch] + g_pos)
+            grad[t, ..., 0] -= g_res[0]
+            grad[t, ..., 1] -= g_res[1]
+        if g_next is not None:
+            (du_dx, du_dy), (dv_dx, dv_dy) = slopes[t]
+            grad[t, ..., 0] += g_next[0]
+            grad[t, ..., 1] += g_next[1]
+            grad[t, ..., 0] += g_next[0] * du_dx + g_next[1] * dv_dx
+            grad[t, ..., 1] += g_next[0] * du_dy + g_next[1] * dv_dy
+        g_next = g_res
     return grad

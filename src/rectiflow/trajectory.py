@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractError, DirectionError, ShapeError
-from .field import BorderPolicy, Direction, FlowField, compose_displaced, make_grid
+from .field import BorderPolicy, Direction, FlowField, _bilinear, compose_displaced, make_grid
 
 _SUMMARY_MARGIN = 2  # boundary pixels excluded from summaries to avoid clamp bias
 
@@ -71,6 +71,36 @@ def _require(flow: FlowField, direction: Direction, name: str) -> FlowField:
     return flow
 
 
+def backward_residuals(f_seq, f_fwd_seq, with_slopes: bool = False):
+    """Backward residual of each consecutive pair, one pair at a time.
+
+    Yields, for t = 1..N-1, r(t+1) = f_fwd(p + F_t(p)) + F_t(p) - F_{t+1}(p)
+    as a (u, v) pair of (H, W) arrays. Both inter-frame flow channels are
+    sampled once, through one shared bilinear stencil. With with_slopes,
+    each item is (residual, slopes), where slopes holds
+    ((du/dx, du/dy), (dv/dx, dv/dy)): the derivatives of the sampled
+    inter-frame flow with respect to the sample position, zero where the
+    CLAMP border pinned the position.
+    """
+    grid = None
+    for f_t, f_t1, f_fwd in zip(f_seq, f_seq[1:], f_fwd_seq):
+        _require(f_t, Direction.BACKWARD, "F_t")
+        _require(f_t1, Direction.BACKWARD, "F_t1")
+        _require(f_fwd, Direction.FORWARD, "f_fwd")
+        if not (f_t.shape == f_t1.shape == f_fwd.shape):
+            raise ShapeError("all fields must share dimensions")
+        if grid is None or (grid.height, grid.width) != f_t.shape:
+            grid = make_grid(*f_t.shape)
+        sampled = _bilinear((f_fwd.u, f_fwd.v), grid.x + f_t.u, grid.y + f_t.v,
+                            BorderPolicy.CLAMP, with_slopes)
+        if with_slopes:
+            (moved_u, du_dx, du_dy), (moved_v, dv_dx, dv_dy) = sampled
+        else:
+            moved_u, moved_v = sampled
+        residual = (moved_u + f_t.u - f_t1.u, moved_v + f_t.v - f_t1.v)
+        yield (residual, ((du_dx, du_dy), (dv_dx, dv_dy))) if with_slopes else residual
+
+
 def residual_backward(f_t: FlowField, f_t1: FlowField, f_fwd: FlowField) -> np.ndarray:
     """Residual between consecutive frames under backward correction flows.
 
@@ -79,13 +109,8 @@ def residual_backward(f_t: FlowField, f_t1: FlowField, f_fwd: FlowField) -> np.n
     plus the change in correction. Zero when corrections are mutually
     consistent with the motion.
     """
-    _require(f_t, Direction.BACKWARD, "F_t")
-    _require(f_t1, Direction.BACKWARD, "F_t1")
-    _require(f_fwd, Direction.FORWARD, "f_fwd")
-    if not (f_t.shape == f_t1.shape == f_fwd.shape):
-        raise ShapeError("all fields must share dimensions")
-    moved = compose_displaced(f_fwd, f_t, BorderPolicy.CLAMP)
-    return np.stack([moved.u + f_t.u - f_t1.u, moved.v + f_t.v - f_t1.v], axis=-1)
+    (residual,) = backward_residuals([f_t, f_t1], [f_fwd])
+    return np.stack(residual, axis=-1)
 
 
 def residual_forward(f_t: FlowField, f_t1: FlowField, f_bwd: FlowField) -> np.ndarray:
@@ -136,8 +161,7 @@ def trajectory_of_sequence(f_seq, f_fwd_seq) -> TrajectorySeries:
         )
     h, w = f_seq[0].shape
     residuals = [np.zeros((h, w, 2))]
-    for t in range(len(f_seq) - 1):
-        residuals.append(residual_backward(f_seq[t], f_seq[t + 1], f_fwd_seq[t]))
+    residuals += [np.stack(r, axis=-1) for r in backward_residuals(f_seq, f_fwd_seq)]
     return accumulate(residuals)
 
 

@@ -113,6 +113,18 @@ def test_adaptation_is_deterministic():
         assert np.array_equal(a.u, b.u) and np.array_equal(a.v, b.v)
 
 
+def test_adaptation_accepts_one_shot_iterables():
+    # Every objective evaluation walks masks and inter-frame flows again,
+    # so generators must give the same run as lists.
+    pseudo, masks, fwd = _jittered_instance(7, n=5, h=10, w=10)
+    params = AdaptParams(max_iters=5)
+    out_list, hist_list = adapt_sequence(pseudo, masks, fwd, params)
+    out_gen, hist_gen = adapt_sequence(iter(pseudo), (m for m in masks), (f for f in fwd), params)
+    assert hist_gen == hist_list and len(hist_list) > 1
+    for a, b in zip(out_gen, out_list):
+        assert np.array_equal(a.u, b.u) and np.array_equal(a.v, b.v)
+
+
 def test_adapt_rejects_short_sequences_and_bad_params():
     pseudo, masks, fwd = _jittered_instance(1, n=2)
     with pytest.raises(ShapeError):
@@ -123,6 +135,11 @@ def test_adapt_rejects_short_sequences_and_bad_params():
         AdaptParams(max_iters=0)
     with pytest.raises(DataError):
         AdaptParams(tol=-1.0)
+    for bad in (np.nan, np.inf):
+        with pytest.raises(DataError):
+            AdaptParams(step_size=bad)
+        with pytest.raises(DataError):
+            AdaptParams(tol=bad)
     with pytest.raises(DataError):
         AdaptParams(backtrack_factor=1.0)
     with pytest.raises(DataError):

@@ -108,6 +108,15 @@ def test_cli_exit_codes(tmp_path, capsys):
     assert "output directory" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("setting", ["step_size = nan", "step_size = inf", "max_iters = 0"])
+def test_bad_adapt_settings_fail_at_load_and_write_nothing(tmp_path, capsys, setting):
+    cfg = _write_config(tmp_path, _SMALL.replace("max_iters = 40", setting))
+    out = tmp_path / "run"
+    assert main(["pipeline", "--config", str(cfg), "--out", str(out)]) == 2
+    assert "config error" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_pipeline_end_to_end_and_determinism(tmp_path):
     cfg = _write_config(tmp_path)
     out_a = tmp_path / "a"

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from rectiflow import Direction, FlowField, Frame, Mask, ShapeError, make_grid
+from rectiflow import (BorderPolicy, Direction, FlowField, Frame, Mask, ShapeError, make_grid,
+                       sample_bilinear_with_grad)
 from rectiflow.losses import (
     SOBEL_X,
     SOBEL_Y,
@@ -19,7 +20,7 @@ from rectiflow.losses import (
     sobel,
     sobel_adjoint,
 )
-from rectiflow.trajectory import accumulate
+from rectiflow.trajectory import accumulate, trajectory_of_sequence
 
 
 def _flow(u, v, direction=Direction.BACKWARD):
@@ -325,3 +326,137 @@ def test_grad_video_temporal_zero_on_linear_trajectory():
     lw = LossWeights(lambda_temporal=10.0, mu_mask=0.0)
     grad = grad_video([f] * 4, [f] * 4, masks, [fwd] * 3, lw)
     assert np.max(np.abs(grad)) < 1e-12
+
+
+# --- bit-exact oracle for the frame-at-a-time objective ---------------------
+
+
+def _reference_loss_video(f_seq, pseudo_seq, masks, f_fwd_seq, lw):
+    """The whole-sequence formulation: build the trajectory, then reduce."""
+    spatial = 0.0
+    for f, p, m in zip(f_seq, pseudo_seq, masks):
+        spatial += loss_flow(f, p) + lw.mu_mask * loss_mask(f, p, m)
+    spatial /= len(f_seq)
+    terms = {"spatial": spatial,
+             "temporal": loss_temporal(trajectory_of_sequence(f_seq, f_fwd_seq))}
+    weights = {"spatial": 1.0, "temporal": lw.lambda_temporal}
+    return terms, sum(weights[k] * terms[k] for k in sorted(terms))
+
+
+def _reference_grad_video(f_seq, pseudo_seq, masks, f_fwd_seq, lw):
+    """Whole-array gradient: spatial per frame, then the temporal part
+    through the stacked trajectory, np.cumsum suffix sums, and per-channel
+    bilinear derivative sampling for every pair."""
+    n = len(f_seq)
+    h, w = f_seq[0].shape
+    hw = h * w
+    grad = np.zeros((n, h, w, 2))
+    for t, (f, p, m) in enumerate(zip(f_seq, pseudo_seq, masks)):
+        grad[t, ..., 0] += (2.0 / (n * hw)) * (f.u - p.u)
+        grad[t, ..., 1] += (2.0 / (n * hw)) * (f.v - p.v)
+        if lw.mu_mask > 0.0:
+            mv = m.as_float()
+            scale = lw.mu_mask / (n * (np.sum(mv) + 1e-8))
+            for ch_idx, (ch, ch_gt) in enumerate(((f.u, p.u), (f.v, p.v))):
+                gx, gy = sobel(ch - ch_gt)
+                back = sobel_adjoint(mv * np.sign(gx), SOBEL_X)
+                back += sobel_adjoint(mv * np.sign(gy), SOBEL_Y)
+                grad[t, ..., ch_idx] += scale * back
+    if lw.lambda_temporal <= 0.0 or n < 3:
+        return grad
+
+    positions = trajectory_of_sequence(f_seq, f_fwd_seq).positions
+    d2 = positions[2:] - 2.0 * positions[1:-1] + positions[:-2]
+    norms = np.sqrt(np.sum(d2 * d2, axis=-1, keepdims=True))
+    solid = norms > 1e-12
+    unit = np.where(solid, d2 / np.where(solid, norms, 1.0), 0.0)
+    c = lw.lambda_temporal / ((n - 2) * hw)
+    g_pos = np.zeros((n, h, w, 2))
+    g_pos[2:] += c * unit
+    g_pos[1:-1] -= 2.0 * c * unit
+    g_pos[:-2] += c * unit
+    g_res = np.cumsum(g_pos[::-1], axis=0)[::-1]
+
+    grid = make_grid(h, w)
+    for t in range(1, n):
+        g = g_res[t]
+        grad[t, ..., 0] -= g[..., 0]
+        grad[t, ..., 1] -= g[..., 1]
+        grad[t - 1, ..., 0] += g[..., 0]
+        grad[t - 1, ..., 1] += g[..., 1]
+        fw = f_fwd_seq[t - 1]
+        xs = grid.x + f_seq[t - 1].u
+        ys = grid.y + f_seq[t - 1].v
+        _, du_dx, du_dy = sample_bilinear_with_grad(fw.u, xs, ys, BorderPolicy.CLAMP)
+        _, dv_dx, dv_dy = sample_bilinear_with_grad(fw.v, xs, ys, BorderPolicy.CLAMP)
+        grad[t - 1, ..., 0] += g[..., 0] * du_dx + g[..., 1] * dv_dx
+        grad[t - 1, ..., 1] += g[..., 0] * du_dy + g[..., 1] * dv_dy
+    return grad
+
+
+def _clamping_instance(seed, n=6, h=9, w=7):
+    """Corrections and motion of several pixels, so many samples leave the
+    grid and are clamped; masks cover part of each frame."""
+    rng = np.random.default_rng(seed)
+    f_seq = [_flow(rng.normal(0.0, 3.0, (h, w)), rng.normal(0.0, 3.0, (h, w)))
+             for _ in range(n)]
+    pseudo = [_flow(rng.normal(0.0, 3.0, (h, w)), rng.normal(0.0, 3.0, (h, w)))
+              for _ in range(n)]
+    masks = [Mask(values=(rng.random((h, w)) > 0.6).astype(np.uint8)) for _ in range(n)]
+    fwd = [_flow(rng.normal(0.0, 4.0, (h, w)), rng.normal(0.0, 4.0, (h, w)), Direction.FORWARD)
+           for _ in range(n - 1)]
+    return f_seq, pseudo, masks, fwd
+
+
+def _affine_instance(n=5, h=6, w=8):
+    """Constant corrections under constant motion: the trajectory is affine
+    in t, so every second difference is zero up to prefix-sum roundoff
+    (0.1 and 0.3 are inexact in binary). One corner pixel of the
+    corrections is bumped, so solid second differences occur too."""
+    bump = np.zeros((h, w))
+    bump[0, 0] = 0.25
+    f_seq = [_flow(np.full((h, w), 0.2) + (t % 2) * bump, np.full((h, w), -0.1))
+             for t in range(n)]
+    pseudo = [_flow(np.full((h, w), 0.2), np.full((h, w), -0.1)) for _ in range(n)]
+    masks = [Mask(values=np.ones((h, w), dtype=np.uint8))] * n
+    fwd = [_flow(np.full((h, w), 0.1), np.full((h, w), 0.3), Direction.FORWARD)] * (n - 1)
+    return f_seq, pseudo, masks, fwd
+
+
+_ORACLE_CASES = (
+    [("quantized", seed, _quantized_instance(seed, n=4 + seed % 3)) for seed in (21, 22, 23)]
+    + [("clamping", seed, _clamping_instance(seed)) for seed in (31, 32, 33)]
+    + [("affine", 0, _affine_instance())]
+)
+
+
+@pytest.mark.parametrize("lw", [LossWeights(lambda_temporal=10.0, mu_mask=1.0),
+                                LossWeights(lambda_temporal=3.5, mu_mask=0.0),
+                                LossWeights(lambda_temporal=0.0, mu_mask=0.1)],
+                         ids=["default", "mu_mask_0", "lambda_0"])
+@pytest.mark.parametrize("case", _ORACLE_CASES, ids=lambda c: f"{c[0]}-{c[1]}")
+def test_video_objective_is_bit_exact_against_whole_array_reference(case, lw):
+    args = case[2]
+    terms, total = _reference_loss_video(*args, lw)
+    rep = loss_video(*args, lw)
+    assert rep.total == total
+    for name, value in terms.items():
+        assert rep.terms[name] == value
+    want = _reference_grad_video(*args, lw)
+    got = grad_video(*args, lw)
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+def test_oracle_cases_reach_the_branches_they_claim():
+    f_seq, _, masks, _ = _clamping_instance(31)
+    xs = make_grid(*f_seq[0].shape).x + f_seq[0].u
+    assert np.any(xs < 0.0) and np.any(xs > f_seq[0].shape[1] - 1.0)
+    assert 0 < np.sum(masks[0].values) < masks[0].values.size
+
+    f_seq, _, _, fwd = _affine_instance()
+    positions = trajectory_of_sequence(f_seq, fwd).positions
+    d2 = positions[2:] - 2.0 * positions[1:-1] + positions[:-2]
+    norms = np.hypot(d2[..., 0], d2[..., 1])
+    assert np.any(norms > 1e-12)
+    assert np.any((norms > 0.0) & (norms <= 1e-12))
