@@ -21,14 +21,7 @@ import scipy
 
 from . import __version__
 from .adapt import adapt_history_csv, adapt_sequence
-from .config import (
-    PipelineConfig,
-    build_adapt_params,
-    build_camera,
-    build_hs_params,
-    build_jitter,
-    load_config,
-)
+from .config import PipelineConfig, load_config
 from .errors import ConfigError, DataError, RectiflowError
 from .field import Direction, FlowField, Mask, pull_points_through_flow, warp_backward
 from .interflow import estimate_flow, read_flo, write_flo
@@ -43,6 +36,7 @@ from .metrics import (
 )
 from .pnm import mask_to_pgm, pgm_to_mask, read_ppm, write_ppm
 from .synth import (
+    _rigid_apply,
     annotations_from_text,
     annotations_to_text,
     apply_jitter,
@@ -154,20 +148,12 @@ def _write_manifest(cfg: PipelineConfig, root: Path):
     (root / "manifest.json").write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
-def _rigid_points(points: np.ndarray, dx: float, dy: float, theta: float,
-                  center: tuple[float, float]) -> np.ndarray:
-    c, s = np.cos(theta), np.sin(theta)
-    rel = points - center
-    rot = np.stack([c * rel[:, 0] - s * rel[:, 1], s * rel[:, 0] + c * rel[:, 1]], axis=1)
-    return rot + center + (dx, dy)
-
-
 def cmd_synth(cfg: PipelineConfig):
     """Render the scene, jitter it, and write every ground-truth artifact."""
     if cfg.mode != "synthetic":
         raise ConfigError("the synth stage requires [pipeline] mode = synthetic")
     root = _out_root(cfg)
-    cam = build_camera(cfg)
+    cam = cfg.camera
     scene = default_scene(cam, n_lines=cfg.n_lines, n_faces=cfg.n_faces,
                           seed=cfg.scene_seed)
     ideal, _ = render_scene(scene, cam, distorted=False)
@@ -178,9 +164,8 @@ def cmd_synth(cfg: PipelineConfig):
 
     n = cfg.frames
     if n >= 2:
-        jit = build_jitter(cfg)
-        frames, fwd = apply_jitter([observed] * n, jit)
-        dx, dy, th = jitter_signal(jit, n)
+        frames, fwd = apply_jitter([observed] * n, cfg.jitter)
+        dx, dy, th = jitter_signal(cfg.jitter, n)
         gt_dir = root / "flows_gt"
         gt_dir.mkdir(exist_ok=True)
         for t, f in enumerate(fwd):
@@ -205,17 +190,17 @@ def cmd_synth(cfg: PipelineConfig):
     # observed-space landmarks (exact, since undistortion is total).
     masks_dir = root / "masks"
     masks_dir.mkdir(exist_ok=True)
-    center = ((cam.width - 1) / 2.0, (cam.height - 1) / 2.0)
+    cx, cy = (cam.width - 1) / 2.0, (cam.height - 1) / 2.0
     dims = (cam.height, cam.width)
     for t in range(n):
         union = np.zeros(dims, dtype=np.uint8)
         for face in ann.faces:
-            moved = _rigid_points(face.landmarks_image, dx[t], dy[t], th[t], center)
+            pts = face.landmarks_image
+            moved = np.stack(_rigid_apply(pts[:, 0], pts[:, 1], dx[t], dy[t], th[t], cx, cy),
+                             axis=1)
             rectified = undistort_points(moved, cam)
             union = np.maximum(union, face_mask(rectified, dims).values)
         (masks_dir / f"{t:06d}.pgm").write_bytes(mask_to_pgm(Mask(values=union)))
-
-    _write_manifest(cfg, root)
 
 
 def cmd_flow(cfg: PipelineConfig):
@@ -224,11 +209,10 @@ def cmd_flow(cfg: PipelineConfig):
     frames = _read_frames(_frames_dir(cfg, root), "frame sequence")
     if len(frames) < 2:
         raise DataError(f"flow estimation needs >= 2 frames, got {len(frames)}")
-    params = build_hs_params(cfg)
 
     def one(pair):
         a, b = pair
-        return estimate_flow(a, b, params), estimate_flow(b, a, params)
+        return estimate_flow(a, b, cfg.flow), estimate_flow(b, a, cfg.flow)
 
     results = _parallel_map(one, zip(frames[:-1], frames[1:]), cfg.threads)
     flows_dir = root / "flows"
@@ -236,7 +220,6 @@ def cmd_flow(cfg: PipelineConfig):
     for t, (fwd, bwd) in enumerate(results):
         (flows_dir / f"{t:06d}_fwd.flo").write_bytes(write_flo(fwd))
         (flows_dir / f"{t:06d}_bwd.flo").write_bytes(write_flo(bwd))
-    _write_manifest(cfg, root)
 
 
 def cmd_correct(cfg: PipelineConfig):
@@ -256,7 +239,6 @@ def cmd_correct(cfg: PipelineConfig):
     out_dir.mkdir(exist_ok=True)
     for t, blob in enumerate(corrected):
         (out_dir / f"{t:06d}.ppm").write_bytes(blob)
-    _write_manifest(cfg, root)
 
 
 def cmd_trajectory(cfg: PipelineConfig):
@@ -274,24 +256,24 @@ def cmd_trajectory(cfg: PipelineConfig):
         (res_dir / f"{t:06d}.flo").write_bytes(write_flo(f))
     if series.n_frames >= 8:
         (root / "spectrum.csv").write_text(spectrum_csv(series))
-    _write_manifest(cfg, root)
 
 
 def cmd_adapt(cfg: PipelineConfig):
     """Smooth the correction flows against their pseudo-labels."""
+    if cfg.adapt is None:
+        raise ConfigError("the adapt stage requires [pipeline] adaptation = true")
     root = _out_root(cfg)
     pseudo = _pseudo_flows(cfg, root)
     fwd = _forward_flows(cfg, root)
     masks = _masks(cfg, root, len(pseudo), pseudo[0].shape)
     if len(masks) != len(pseudo):
         raise DataError(f"{len(pseudo)} flows but {len(masks)} masks")
-    adapted, history = adapt_sequence(pseudo, masks, fwd, build_adapt_params(cfg))
+    adapted, history = adapt_sequence(pseudo, masks, fwd, cfg.adapt)
     out_dir = root / "adapted"
     out_dir.mkdir(exist_ok=True)
     for t, f in enumerate(adapted):
         (out_dir / f"{t:06d}.flo").write_bytes(write_flo(f))
     (root / "loss_history.csv").write_text(adapt_history_csv(history))
-    _write_manifest(cfg, root)
 
 
 def _annotation_scores(cfg: PipelineConfig, root: Path, pseudo0: FlowField):
@@ -349,13 +331,13 @@ def _metric_documents(cfg: PipelineConfig, root: Path) -> dict:
     }
 
 
-def cmd_metrics(cfg: PipelineConfig):
+def cmd_metrics(cfg: PipelineConfig) -> dict:
     """Score the run: line/shape before vs after correction, stability
     before vs after adaptation."""
     root = _out_root(cfg)
     doc = _metric_documents(cfg, root)
     (root / "metrics.json").write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
-    _write_manifest(cfg, root)
+    return doc
 
 
 def _summary_text(doc: dict) -> str:
@@ -378,18 +360,15 @@ def _summary_text(doc: dict) -> str:
 
 def cmd_pipeline(cfg: PipelineConfig):
     """Run every stage in order and write a before/after summary."""
-    root = _out_root(cfg)
     if cfg.mode == "synthetic":
         cmd_synth(cfg)
     cmd_flow(cfg)
     cmd_correct(cfg)
     cmd_trajectory(cfg)
-    if cfg.adaptation:
+    if cfg.adapt is not None:
         cmd_adapt(cfg)
-    doc = _metric_documents(cfg, root)
-    (root / "metrics.json").write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
-    (root / "summary.txt").write_text(_summary_text(doc))
-    _write_manifest(cfg, root)
+    doc = cmd_metrics(cfg)
+    (_out_root(cfg) / "summary.txt").write_text(_summary_text(doc))
 
 
 _COMMANDS = {
@@ -421,6 +400,8 @@ def main(argv=None) -> int:
         cfg = load_config(args.config, seed=args.seed, out=args.out,
                           threads=args.threads)
         _COMMANDS[args.command](cfg)
+        # Every command resolved the output directory, so it exists now.
+        _write_manifest(cfg, Path(cfg.out))
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

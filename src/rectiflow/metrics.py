@@ -129,6 +129,13 @@ def _band_score(values: np.ndarray, low_band: tuple[int, int]) -> float:
     return min(low / total, 1.0)
 
 
+def check_low_band(low_band: tuple[int, int]) -> None:
+    """Reject a band that reaches below bin 2 or is empty."""
+    lo, hi = low_band
+    if lo < 2 or hi < lo:
+        raise ConfigError(f"low_band must satisfy 2 <= lo <= hi, got {low_band}")
+
+
 def stability_score(series: TrajectorySeries,
                     low_band: tuple[int, int] = DEFAULT_LOW_BAND) -> StabilityReport:
     """Low-frequency energy fraction of the warping trajectory.
@@ -138,9 +145,7 @@ def stability_score(series: TrajectorySeries,
     the energy in bins low_band[0]..low_band[1] relative to bins
     2..floor(N/2). A series with no energy above bin 1 scores 1.
     """
-    lo, hi = low_band
-    if lo < 2 or hi < lo:
-        raise ConfigError(f"low band must satisfy 2 <= lo <= hi, got {low_band}")
+    check_low_band(low_band)
     n = series.positions.shape[0]
     if n < 8:
         raise ShapeError(f"stability needs >= 8 frames, got {n}")

@@ -1,5 +1,7 @@
 """Tests for config parsing and the pipeline CLI."""
 
+import configparser
+import io
 import json
 from pathlib import Path
 
@@ -8,7 +10,7 @@ import pytest
 
 from rectiflow import ConfigError
 from rectiflow.cli import main
-from rectiflow.config import build_adapt_params, build_camera, build_jitter, load_config
+from rectiflow.config import load_config
 from rectiflow.synth import JitterProfile
 
 _SMALL = """
@@ -57,21 +59,22 @@ def test_load_config_defaults_and_overrides(tmp_path):
     path = _write_config(tmp_path)
     cfg = load_config(path)
     assert cfg.mode == "synthetic" and cfg.seed == 5 and cfg.frames == 8
-    assert cfg.width == 48 and cfg.focal_px == 40.0
+    assert cfg.camera.width == 48 and cfg.camera.focal_px == 40.0
     assert cfg.low_band == (2, 3)
-    assert cfg.hs_iterations == 25 and cfg.hs_alpha == 15.0
-    assert cfg.lambda_temporal == 10.0
+    assert cfg.flow.iterations == 25 and cfg.flow.alpha == 15.0
+    assert cfg.adapt.lambda_temporal == 10.0
     assert cfg.out is None and cfg.threads == 1
     over = load_config(path, seed=99, out="somewhere", threads=3)
     assert over.seed == 99 and over.out == "somewhere" and over.threads == 3
-    assert over.scene_seed == 99 and over.jitter_seed == 100
-    cam = build_camera(cfg)
-    assert (cam.width, cam.height) == (48, 48)
-    jit = build_jitter(cfg)
-    assert jit.profile is JitterProfile.WHITE_NOISE and jit.amplitude == 0.8
-    params = build_adapt_params(cfg)
-    assert params.max_iters == 40 and params.lambda_temporal == 10.0
-    assert params.mu_mask == 0.1
+    assert over.scene_seed == 99 and over.jitter.seed == 100
+    assert (cfg.camera.width, cfg.camera.height) == (48, 48)
+    assert cfg.jitter.profile is JitterProfile.WHITE_NOISE and cfg.jitter.amplitude == 0.8
+    assert cfg.jitter.period_frames == 8
+    assert cfg.adapt.max_iters == 40 and cfg.adapt.lambda_temporal == 10.0
+    assert cfg.adapt.mu_mask == 0.1
+    off = load_config(_write_config(tmp_path, _SMALL.replace("adaptation = true",
+                                                             "adaptation = false"), "off.ini"))
+    assert off.adapt is None
 
 
 def test_load_config_rejects_unknown_and_invalid(tmp_path):
@@ -87,10 +90,22 @@ def test_load_config_rejects_unknown_and_invalid(tmp_path):
         "profile must be": "[pipeline]\nseed = 1\n[jitter]\nprofile = earthquake\n",
         "set together": "[pipeline]\nseed = 1\n[camera]\nprincipal_x = 3\n",
         "low_band": "[pipeline]\nseed = 1\n[metrics]\nlow_band = wide\n",
+        r"unknown config section \[schedule\]": "[pipeline]\nseed = 1\n[schedule]\nsteps = 50\n",
+        r"unknown config key \[losses\] lambda1": "[pipeline]\nseed = 1\n[losses]\nlambda1 = 1\n",
     }
     for needle, text in cases.items():
         with pytest.raises(ConfigError, match=needle):
             load_config(_write_config(tmp_path, text, "case.ini"))
+
+
+def test_shipped_configs_load():
+    """sample_config.ini and every benchmark workload pass load_config."""
+    root = Path(__file__).resolve().parent.parent
+    workloads = sorted((root / "bench" / "workloads").glob("*.ini"))
+    assert workloads
+    for path in [root / "sample_config.ini", *workloads]:
+        cfg = load_config(path, seed=3)
+        assert cfg.mode == "synthetic" and cfg.low_band == (2, 3), path
 
 
 def test_cli_exit_codes(tmp_path, capsys):
@@ -108,9 +123,33 @@ def test_cli_exit_codes(tmp_path, capsys):
     assert "output directory" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("setting", ["step_size = nan", "step_size = inf", "max_iters = 0"])
-def test_bad_adapt_settings_fail_at_load_and_write_nothing(tmp_path, capsys, setting):
-    cfg = _write_config(tmp_path, _SMALL.replace("max_iters = 40", setting))
+def _with_setting(section, key, value):
+    ini = configparser.ConfigParser(interpolation=None)
+    ini.read_string(_SMALL)
+    ini[section][key] = value
+    text = io.StringIO()
+    ini.write(text)
+    return text.getvalue()
+
+
+_BAD_SETTINGS = [
+    ("adapt", "step_size", "nan"),
+    ("adapt", "step_size", "inf"),
+    ("adapt", "max_iters", "0"),
+    ("flow", "alpha", "-1"),
+    ("flow", "downscale", "1.5"),
+    ("jitter", "amplitude", "-1"),
+    ("camera", "focal_px", "-5"),
+    ("metrics", "low_band", "9,2"),
+    ("pipeline", "frames", "2"),
+]
+
+
+@pytest.mark.parametrize("section, key, value", _BAD_SETTINGS,
+                         ids=[f"{key} = {value}" for _, key, value in _BAD_SETTINGS])
+def test_bad_adapt_settings_fail_at_load_and_write_nothing(tmp_path, capsys,
+                                                           section, key, value):
+    cfg = _write_config(tmp_path, _with_setting(section, key, value))
     out = tmp_path / "run"
     assert main(["pipeline", "--config", str(cfg), "--out", str(out)]) == 2
     assert "config error" in capsys.readouterr().err
@@ -177,6 +216,8 @@ def test_pipeline_without_adaptation_matches_cmd_correct(tmp_path):
 
     assert main(["synth", "--config", str(cfg), "--out", str(out_b)]) == 0
     assert main(["correct", "--config", str(cfg), "--out", str(out_b)]) == 0
+    assert main(["adapt", "--config", str(cfg), "--out", str(out_b)]) == 2
+    assert not (out_b / "adapted").exists()
     for rel in sorted(p.name for p in (out_a / "corrected").iterdir()):
         assert (out_a / "corrected" / rel).read_bytes() == (out_b / "corrected" / rel).read_bytes()
 
