@@ -89,12 +89,13 @@ def _read_flo_dir(dirpath: Path, pattern: str, direction: Direction, hint: str):
     return [read_flo(f.read_bytes(), direction) for f in files]
 
 
-def _frames_dir(cfg: PipelineConfig, root: Path) -> Path:
+def _frames_dir(cfg: PipelineConfig) -> Path:
+    # Ingest settings are checked before _out_root creates --out.
     if cfg.mode == "ingest":
         if cfg.frames_dir is None:
             raise ConfigError("[ingest] frames_dir is required in ingest mode")
         return Path(cfg.frames_dir)
-    return root / "frames"
+    return _out_root(cfg) / "frames"
 
 
 def _pseudo_flows(cfg: PipelineConfig, root: Path):
@@ -205,8 +206,9 @@ def cmd_synth(cfg: PipelineConfig):
 
 def cmd_flow(cfg: PipelineConfig):
     """Estimate forward and backward inter-frame flows for every pair."""
+    frames_dir = _frames_dir(cfg)
     root = _out_root(cfg)
-    frames = _read_frames(_frames_dir(cfg, root), "frame sequence")
+    frames = _read_frames(frames_dir, "frame sequence")
     if len(frames) < 2:
         raise DataError(f"flow estimation needs >= 2 frames, got {len(frames)}")
 
@@ -224,8 +226,9 @@ def cmd_flow(cfg: PipelineConfig):
 
 def cmd_correct(cfg: PipelineConfig):
     """Warp every frame by its pseudo-label correction flow."""
+    frames_dir = _frames_dir(cfg)
     root = _out_root(cfg)
-    frames = _read_frames(_frames_dir(cfg, root), "frame sequence")
+    frames = _read_frames(frames_dir, "frame sequence")
     pseudo = _pseudo_flows(cfg, root)
     if len(pseudo) != len(frames):
         raise DataError(
@@ -371,15 +374,9 @@ def cmd_pipeline(cfg: PipelineConfig):
     (_out_root(cfg) / "summary.txt").write_text(_summary_text(doc))
 
 
-_COMMANDS = {
-    "synth": cmd_synth,
-    "flow": cmd_flow,
-    "correct": cmd_correct,
-    "trajectory": cmd_trajectory,
-    "adapt": cmd_adapt,
-    "metrics": cmd_metrics,
-    "pipeline": cmd_pipeline,
-}
+# Each name runs cmd_<name>, looked up in the module globals at call time,
+# so a function patched onto this module is the one that runs.
+_COMMANDS = ("synth", "flow", "correct", "trajectory", "adapt", "metrics", "pipeline")
 
 
 def main(argv=None) -> int:
@@ -388,8 +385,8 @@ def main(argv=None) -> int:
         description="Flow-based wide-angle video correction pipeline.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, fn in _COMMANDS.items():
-        p = sub.add_parser(name, help=fn.__doc__)
+    for name in _COMMANDS:
+        p = sub.add_parser(name, help=globals()[f"cmd_{name}"].__doc__)
         p.add_argument("--config", required=True, help="path to the INI config file")
         p.add_argument("--out", default=None, help="output directory (overrides config)")
         p.add_argument("--seed", type=int, default=None, help="seed (overrides config)")
@@ -399,7 +396,7 @@ def main(argv=None) -> int:
     try:
         cfg = load_config(args.config, seed=args.seed, out=args.out,
                           threads=args.threads)
-        _COMMANDS[args.command](cfg)
+        globals()[f"cmd_{args.command}"](cfg)
         # Every command resolved the output directory, so it exists now.
         _write_manifest(cfg, Path(cfg.out))
     except ConfigError as exc:

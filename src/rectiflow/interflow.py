@@ -2,11 +2,16 @@
 bit-exact Middlebury `.flo` serialization.
 
 The estimator minimizes the classic quadratic brightness-constancy plus
-smoothness energy on a 4-neighbor grid. Updates are red-black block
-coordinate descent: pixels of one color decouple given the other color,
-so each half-sweep solves its subproblem exactly and the energy of the
-level's linearization never increases. Coarse-to-fine warping handles
-motions beyond the linear range.
+smoothness energy on a 4-neighbor grid (Horn & Schunck). Updates are
+red-black block coordinate descent: pixels of one color, (i+j) even or
+odd, decouple given the other color, so each half-sweep solves its
+subproblem exactly and the energy of the level's linearization never
+increases. A half-sweep computes only the pixels it keeps: each color
+is the union of two stride-2 sub-lattices, and each sub-lattice of the
+flow is stored as its own contiguous array. Coarse-to-fine warping
+handles motions beyond the linear range. `estimate_flow` tracks no
+energy; `estimate_flow_with_energy` also returns the finest level's
+energy after every sweep.
 """
 
 from __future__ import annotations
@@ -70,15 +75,6 @@ def _upsample_flow(u: np.ndarray, v: np.ndarray, shape: tuple[int, int]):
     return u2, v2
 
 
-def _neighbor_sum(a: np.ndarray) -> np.ndarray:
-    s = np.zeros_like(a)
-    s[1:, :] += a[:-1, :]
-    s[:-1, :] += a[1:, :]
-    s[:, 1:] += a[:, :-1]
-    s[:, :-1] += a[:, 1:]
-    return s
-
-
 def _neighbor_count(shape: tuple[int, int]) -> np.ndarray:
     n = np.full(shape, 4.0)
     n[0, :] -= 1.0
@@ -96,12 +92,65 @@ def _level_energy(u, v, fx, fy, c, alpha2) -> float:
     return e
 
 
+# Stride-2 sub-lattices (row parity, column parity): color (i+j) even first.
+_SUBLATTICES = ((0, 0), (1, 1), (0, 1), (1, 0))
+
+
+def _split(a: np.ndarray) -> dict:
+    """Zero-bordered contiguous copies of a's four sub-lattices.
+
+    Adding 0.0 maps -0.0 to +0.0, so a neighbor sum of zeros is +0.0, the
+    same bits as a sum that starts from 0.0.
+    """
+    parts = {}
+    for r, s in _SUBLATTICES:
+        sub = a[r::2, s::2]
+        parts[r, s] = np.zeros((sub.shape[0] + 2, sub.shape[1] + 2))
+        parts[r, s][1:-1, 1:-1] = sub + 0.0
+    return parts
+
+
+def _join(parts: dict, shape: tuple[int, int]) -> np.ndarray:
+    a = np.empty(shape)
+    for (r, s), part in parts.items():
+        a[r::2, s::2] = part[1:-1, 1:-1]
+    return a
+
+
+def _neighbors(parts: dict, r: int, s: int) -> tuple:
+    """Views of the up, down, left and right neighbors of sub-lattice (r, s).
+
+    Pixel (r + 2k, s + 2l) sits at [1 + k, 1 + l] of its sub-lattice. Its
+    vertical neighbors are rows r + k and r + k + 1 of sub-lattice (1 - r, s),
+    its horizontal ones columns s + l and s + l + 1 of (r, 1 - s); off-image
+    neighbors land on the zero border.
+    """
+    rows, cols = (n - 2 for n in parts[r, s].shape)
+    vert, horiz = parts[1 - r, s], parts[r, 1 - s]
+    return (vert[r:r + rows, 1:1 + cols], vert[r + 1:r + 1 + rows, 1:1 + cols],
+            horiz[1:1 + rows, s:s + cols], horiz[1:1 + rows, s + 1:s + 1 + cols])
+
+
+def _neighbor_mean(nbrs: tuple, n_p: np.ndarray) -> np.ndarray:
+    """(((up + down) + left) + right) / n_p; the order fixes the output bits."""
+    total = nbrs[0] + nbrs[1]
+    total += nbrs[2]
+    total += nbrs[3]
+    total /= n_p
+    return total
+
+
 def _solve_level(a, b, u, v, params: HSParams, track_energy: bool):
     """One linearization at this level, minimized by red-black sweeps.
 
     The data residual is linearized once around the incoming flow (b is
     warped by it), then the quadratic energy over the total flow is
-    descended; each half-sweep is an exact block minimization.
+    descended. A half-sweep updates only the pixels of its color, the two
+    stride-2 sub-lattices of that color one after the other, and is an
+    exact block minimization. Each sub-lattice of u and v is held in its
+    own zero-bordered array, so every operand is contiguous along rows.
+    The per-pixel arithmetic and its order are those of the full-array
+    red-black update, so the outputs are bit-identical to it.
     """
     h, w = a.shape
     grid = make_grid(h, w)
@@ -114,28 +163,36 @@ def _solve_level(a, b, u, v, params: HSParams, track_energy: bool):
     alpha2 = params.alpha ** 2
     n_p = _neighbor_count((h, w))
     denom = alpha2 * n_p + fx_d * fx_d + fy_d * fy_d
-    ii, jj = np.meshgrid(np.arange(h), np.arange(w), indexing="ij")
-    colors = ((ii + jj) % 2).astype(bool)
-    energies = []
-    if track_energy:
-        energies.append(_level_energy(u, v, fx_d, fy_d, c, alpha2))
+    u_parts, v_parts = _split(u), _split(v)
+    lattices = [
+        (u_parts[r, s][1:-1, 1:-1], v_parts[r, s][1:-1, 1:-1],
+         _neighbors(u_parts, r, s), _neighbors(v_parts, r, s))
+        + tuple(np.ascontiguousarray(x[r::2, s::2]) for x in (fx_d, fy_d, c, denom, n_p))
+        for r, s in _SUBLATTICES
+    ]
+
+    def energy() -> float:
+        return _level_energy(_join(u_parts, (h, w)), _join(v_parts, (h, w)),
+                             fx_d, fy_d, c, alpha2)
+
+    energies = [energy()] if track_energy else []
     for _ in range(params.iterations):
-        for color in (False, True):
-            sel = colors == color
-            su = _neighbor_sum(u)
-            sv = _neighbor_sum(v)
-            ubar = su / n_p
-            vbar = sv / n_p
-            t = (fx_d * ubar + fy_d * vbar + c) / denom
-            u = np.where(sel, ubar - fx_d * t, u)
-            v = np.where(sel, vbar - fy_d * t, v)
+        for u_s, v_s, u_nbrs, v_nbrs, fx, fy, c_s, denom_s, n_s in lattices:
+            ubar = _neighbor_mean(u_nbrs, n_s)
+            vbar = _neighbor_mean(v_nbrs, n_s)
+            t = fx * ubar  # t = (fx*ubar + fy*vbar + c) / denom
+            tmp = fy * vbar
+            t += tmp
+            t += c_s
+            t /= denom_s
+            np.subtract(ubar, np.multiply(fx, t, out=tmp), out=u_s)
+            np.subtract(vbar, np.multiply(fy, t, out=tmp), out=v_s)
         if track_energy:
-            energies.append(_level_energy(u, v, fx_d, fy_d, c, alpha2))
-    return u, v, np.array(energies)
+            energies.append(energy())
+    return _join(u_parts, (h, w)), _join(v_parts, (h, w)), np.array(energies)
 
 
-def estimate_flow_with_energy(frame_a: Frame, frame_b: Frame, params: HSParams = HSParams()):
-    """Forward flow a->b plus the finest level's per-sweep energy history."""
+def _estimate(frame_a: Frame, frame_b: Frame, params: HSParams, track_energy: bool):
     if (frame_a.height, frame_a.width) != (frame_b.height, frame_b.width):
         raise ShapeError(
             f"frame dimensions differ: {frame_a.height}x{frame_a.width} vs "
@@ -150,14 +207,22 @@ def estimate_flow_with_energy(frame_a: Frame, frame_b: Frame, params: HSParams =
         if u.shape != a.shape:
             u, v = _upsample_flow(u, v, a.shape)
         finest = li == len(pa) - 1
-        u, v, energies = _solve_level(a, b, u, v, params, track_energy=finest)
+        u, v, energies = _solve_level(a, b, u, v, params, track_energy and finest)
     return FlowField(u=u, v=v, direction=Direction.FORWARD), energies
 
 
+def estimate_flow_with_energy(frame_a: Frame, frame_b: Frame, params: HSParams = HSParams()):
+    """Forward flow a->b plus the finest level's per-sweep energy history."""
+    return _estimate(frame_a, frame_b, params, track_energy=True)
+
+
 def estimate_flow(frame_a: Frame, frame_b: Frame, params: HSParams = HSParams()) -> FlowField:
-    """Dense forward flow from frame_a to frame_b (direction tag Forward)."""
-    flow, _ = estimate_flow_with_energy(frame_a, frame_b, params)
-    return flow
+    """Dense forward flow from frame_a to frame_b (direction tag Forward).
+
+    Tracks no energy; `estimate_flow_with_energy` returns the same flow
+    with the finest level's energy history.
+    """
+    return _estimate(frame_a, frame_b, params, track_energy=False)[0]
 
 
 def reverse_pair(frame_a: Frame, frame_b: Frame, params: HSParams = HSParams()) -> FlowField:

@@ -3,12 +3,15 @@
 import configparser
 import io
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from rectiflow import ConfigError
+from rectiflow import ConfigError, cli
 from rectiflow.cli import main
 from rectiflow.config import load_config
 from rectiflow.synth import JitterProfile
@@ -154,6 +157,51 @@ def test_bad_adapt_settings_fail_at_load_and_write_nothing(tmp_path, capsys,
     assert main(["pipeline", "--config", str(cfg), "--out", str(out)]) == 2
     assert "config error" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_main_dispatches_through_module_globals(tmp_path, monkeypatch):
+    calls = []
+    monkeypatch.setattr(cli, "cmd_metrics", lambda cfg: calls.append(cfg.out))
+    out = tmp_path / "run"
+    out.mkdir()
+    assert main(["metrics", "--config", str(_write_config(tmp_path)), "--out", str(out)]) == 0
+    assert calls == [str(out)]
+    assert not (out / "metrics.json").exists()
+
+
+@pytest.mark.parametrize("command", ["flow", "correct", "pipeline"])
+def test_ingest_without_frames_dir_fails_before_creating_out(tmp_path, capsys, command):
+    cfg = _write_config(tmp_path, "[pipeline]\nmode = ingest\nseed = 1\n")
+    out = tmp_path / "out_ing"
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+    assert "frames_dir" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def _run_dir_bytes(root: Path) -> dict:
+    return {p.relative_to(root): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+def test_pipeline_output_independent_of_thread_counts(tmp_path):
+    """Worker threads and BLAS threads must not change a single output byte."""
+    cfg = _write_config(tmp_path)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+
+    def run(name, threads, blas_threads):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": str(blas_threads),
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        out = tmp_path / name
+        proc = subprocess.run(
+            [sys.executable, "-m", "rectiflow.cli", "pipeline", "--config", str(cfg),
+             "--out", str(out), "--threads", str(threads)],
+            env=env, capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        return _run_dir_bytes(out)
+
+    base = run("t1_blas1", threads=1, blas_threads=1)
+    assert len(base) > 20
+    assert run("t2_blas1", threads=2, blas_threads=1) == base
+    assert run("t1_blas2", threads=1, blas_threads=2) == base
 
 
 def test_pipeline_end_to_end_and_determinism(tmp_path):

@@ -4,8 +4,12 @@ import numpy as np
 import pytest
 
 from rectiflow import DataError, Direction, FlowField, FormatError, ShapeError
+from rectiflow.field import BorderPolicy, Frame, make_grid, sample_bilinear
 from rectiflow.interflow import (
     HSParams,
+    _level_energy,
+    _neighbor_count,
+    _solve_level,
     estimate_flow,
     estimate_flow_with_energy,
     read_flo,
@@ -74,6 +78,105 @@ def test_energy_non_increasing_at_finest_level():
     assert energies.size == 41
     diffs = np.diff(energies)
     assert np.all(diffs <= 1e-9 * (1.0 + np.abs(energies[:-1])))
+
+
+def _reference_neighbor_sum(a):
+    s = np.zeros_like(a)
+    s[1:, :] += a[:-1, :]
+    s[:-1, :] += a[1:, :]
+    s[:, 1:] += a[:, :-1]
+    s[:, :-1] += a[:, 1:]
+    return s
+
+
+def _reference_solve_level(a, b, u, v, params, track_energy):
+    """The full-array red-black solver that sub-lattice sweeps replaced.
+
+    Every half-sweep computes the update at every pixel and keeps its
+    color's half with np.where.
+    """
+    h, w = a.shape
+    grid = make_grid(h, w)
+    bw = sample_bilinear(b, grid.x + u, grid.y + v, BorderPolicy.CLAMP)
+    avg = 0.5 * (a + bw)
+    fy_d, fx_d = np.gradient(avg)
+    ft = bw - a
+    c = ft - fx_d * u - fy_d * v
+
+    alpha2 = params.alpha ** 2
+    n_p = _neighbor_count((h, w))
+    denom = alpha2 * n_p + fx_d * fx_d + fy_d * fy_d
+    ii, jj = np.meshgrid(np.arange(h), np.arange(w), indexing="ij")
+    colors = ((ii + jj) % 2).astype(bool)
+    energies = []
+    if track_energy:
+        energies.append(_level_energy(u, v, fx_d, fy_d, c, alpha2))
+    for _ in range(params.iterations):
+        for color in (False, True):
+            sel = colors == color
+            su = _reference_neighbor_sum(u)
+            sv = _reference_neighbor_sum(v)
+            ubar = su / n_p
+            vbar = sv / n_p
+            t = (fx_d * ubar + fy_d * vbar + c) / denom
+            u = np.where(sel, ubar - fx_d * t, u)
+            v = np.where(sel, vbar - fy_d * t, v)
+        if track_energy:
+            energies.append(_level_energy(u, v, fx_d, fy_d, c, alpha2))
+    return u, v, np.array(energies)
+
+
+def _level_case(shape, seed):
+    rng = np.random.default_rng(seed)
+    a = rng.uniform(0.0, 255.0, shape)
+    b = np.clip(a + rng.normal(0.0, 20.0, shape), 0.0, 255.0)
+    u = rng.normal(0.0, 1.5, shape)
+    v = rng.normal(0.0, 1.5, shape)
+    return a, b, u, v
+
+
+_ORACLE_SHAPES = [(2, 2), (2, 7), (3, 5), (4, 4), (7, 8), (16, 9), (33, 34)]
+
+
+def _assert_same_level(got, want):
+    for g, r in zip(got, want):
+        assert g.shape == r.shape and g.tobytes() == r.tobytes()
+
+
+@pytest.mark.parametrize("track_energy", [False, True], ids=["no_energy", "energy"])
+@pytest.mark.parametrize("iterations", [1, 3, 10])
+@pytest.mark.parametrize("shape", _ORACLE_SHAPES, ids=[f"{h}x{w}" for h, w in _ORACLE_SHAPES])
+def test_solve_level_is_bit_exact_against_full_array_reference(shape, iterations, track_energy):
+    a, b, u, v = _level_case(shape, seed=shape[0] * 100 + shape[1])
+    params = HSParams(iterations=iterations)
+    got = _solve_level(a, b, u, v, params, track_energy)
+    want = _reference_solve_level(a, b, u, v, params, track_energy)
+    _assert_same_level(got, want)
+    assert got[2].size == (iterations + 1 if track_energy else 0)
+
+
+def test_solve_level_bit_exact_on_flat_frames_with_negative_zero_flow():
+    # Flat frames have zero gradients, so the update copies the neighbor
+    # mean, and an all -0.0 incoming flow tests the sign of zero sums. The
+    # zero border reaches the middle of 12x13 only after several sweeps.
+    a = np.full((12, 13), 80.0)
+    u = np.full((12, 13), -0.0)
+    for iterations, track_energy in ((1, False), (2, True)):
+        params = HSParams(iterations=iterations)
+        got = _solve_level(a, a, u, u, params, track_energy)
+        _assert_same_level(got, _reference_solve_level(a, a, u, u, params, track_energy))
+
+
+def test_estimate_flow_equals_flow_of_estimate_with_energy():
+    rng = np.random.default_rng(5)
+    a = Frame(values=rng.uniform(0.0, 1.0, (21, 26, 3)))
+    b = Frame(values=np.clip(a.values + rng.normal(0.0, 0.05, a.values.shape), 0.0, 1.0))
+    params = HSParams(iterations=7, pyramid_levels=2)
+    flow = estimate_flow(a, b, params)
+    tracked, energies = estimate_flow_with_energy(a, b, params)
+    assert flow.u.tobytes() == tracked.u.tobytes()
+    assert flow.v.tobytes() == tracked.v.tobytes()
+    assert energies.size == 8
 
 
 def test_estimate_rejects_dimension_mismatch():
