@@ -14,7 +14,6 @@ from pathlib import Path
 import numpy as np
 
 from rectiflow import (
-    BorderPolicy,
     CameraSpec,
     LineSample,
     default_scene,
@@ -47,7 +46,7 @@ def main():
     print(f"correction flow magnitude: max {mag.max():.2f} px, "
           f"mean {mag.mean():.2f} px, zero at the principal point")
 
-    corrected = warp_backward(observed, flow, BorderPolicy.CLAMP)
+    corrected = warp_backward(observed, flow)
     (OUT / "corrected.ppm").write_bytes(write_ppm(corrected))
 
     lines_obs = [LineSample(points=l.points_image) for l in ann.lines if not l.out_of_frame]

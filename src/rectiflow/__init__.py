@@ -33,14 +33,12 @@ from .errors import (
     ShapeError,
 )
 from .field import (
-    BorderPolicy,
     Direction,
     FlowField,
     Frame,
     Grid,
     Mask,
     compose_displaced,
-    invert_flow_field,
     make_grid,
     pull_points_through_flow,
     sample_bilinear,
@@ -92,7 +90,6 @@ from .trajectory import (
 __all__ = [
     "AdaptParams",
     "AdaptStep",
-    "BorderPolicy",
     "CameraSpec",
     "Conditioning",
     "ConfigError",
@@ -133,7 +130,6 @@ __all__ = [
     "face_mask",
     "fit_similarity",
     "grad_video",
-    "invert_flow_field",
     "line_acc",
     "loss_flow",
     "loss_image",

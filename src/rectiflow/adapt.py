@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError, ShapeError
-from .field import BorderPolicy, FlowField, Frame, warp_backward
+from .field import FlowField, Frame, warp_backward
 from .losses import LossWeights, grad_video, loss_video
 
 # Below this trial step the search has stalled in float terms; stop cleanly.
@@ -142,9 +142,7 @@ def adapt_sequence(
     return current, history
 
 
-def correct_sequence(
-    frames, f_seq, policy: BorderPolicy = BorderPolicy.CLAMP
-) -> list[Frame]:
+def correct_sequence(frames, f_seq) -> list[Frame]:
     """Warp every frame by its own backward correction flow."""
     frames = list(frames)
     f_seq = list(f_seq)
@@ -152,4 +150,4 @@ def correct_sequence(
         raise ShapeError(
             f"{len(frames)} frames but {len(f_seq)} correction flows"
         )
-    return [warp_backward(frame, f, policy) for frame, f in zip(frames, f_seq)]
+    return [warp_backward(frame, f) for frame, f in zip(frames, f_seq)]

@@ -59,10 +59,16 @@ def _parallel_map(fn, items, threads: int) -> list:
         return list(pool.map(fn, items))
 
 
-def _out_root(cfg: PipelineConfig) -> Path:
+def _run_dir(cfg: PipelineConfig) -> Path:
     if cfg.out is None:
         raise ConfigError("output directory required: set [pipeline] out or pass --out")
-    root = Path(cfg.out)
+    return Path(cfg.out)
+
+
+def _out_root(cfg: PipelineConfig) -> Path:
+    # Stages call this only once their inputs are read, so a run that
+    # fails on its inputs leaves no --out behind.
+    root = _run_dir(cfg)
     root.mkdir(parents=True, exist_ok=True)
     return root
 
@@ -90,20 +96,25 @@ def _read_flo_dir(dirpath: Path, pattern: str, direction: Direction, hint: str):
 
 
 def _frames_dir(cfg: PipelineConfig) -> Path:
-    # Ingest settings are checked before _out_root creates --out.
     if cfg.mode == "ingest":
         if cfg.frames_dir is None:
             raise ConfigError("[ingest] frames_dir is required in ingest mode")
         return Path(cfg.frames_dir)
-    return _out_root(cfg) / "frames"
+    return _run_dir(cfg) / "frames"
 
 
-def _pseudo_flows(cfg: PipelineConfig, root: Path):
-    if cfg.mode == "ingest" and cfg.pseudo_dir is not None:
-        return _read_flo_dir(Path(cfg.pseudo_dir), "*.flo", Direction.BACKWARD,
-                             "pseudo-label correction flows")
-    return _read_flo_dir(root / "pseudo", "*.flo", Direction.BACKWARD,
-                         "run the synth stage first")
+def _pseudo_dir(cfg: PipelineConfig) -> tuple[Path, str]:
+    """Directory of the pseudo-label flows and the hint for when it is missing."""
+    if cfg.mode == "ingest":
+        if cfg.pseudo_dir is None:
+            raise ConfigError("[ingest] pseudo_dir is required in ingest mode")
+        return Path(cfg.pseudo_dir), "pseudo-label correction flows"
+    return _run_dir(cfg) / "pseudo", "run the synth stage first"
+
+
+def _pseudo_flows(cfg: PipelineConfig):
+    dirpath, hint = _pseudo_dir(cfg)
+    return _read_flo_dir(dirpath, "*.flo", Direction.BACKWARD, hint)
 
 
 def _forward_flows(cfg: PipelineConfig, root: Path):
@@ -206,11 +217,10 @@ def cmd_synth(cfg: PipelineConfig):
 
 def cmd_flow(cfg: PipelineConfig):
     """Estimate forward and backward inter-frame flows for every pair."""
-    frames_dir = _frames_dir(cfg)
-    root = _out_root(cfg)
-    frames = _read_frames(frames_dir, "frame sequence")
+    frames = _read_frames(_frames_dir(cfg), "frame sequence")
     if len(frames) < 2:
         raise DataError(f"flow estimation needs >= 2 frames, got {len(frames)}")
+    root = _out_root(cfg)
 
     def one(pair):
         a, b = pair
@@ -227,13 +237,14 @@ def cmd_flow(cfg: PipelineConfig):
 def cmd_correct(cfg: PipelineConfig):
     """Warp every frame by its pseudo-label correction flow."""
     frames_dir = _frames_dir(cfg)
-    root = _out_root(cfg)
+    _pseudo_dir(cfg)  # a missing setting fails before any input is read
     frames = _read_frames(frames_dir, "frame sequence")
-    pseudo = _pseudo_flows(cfg, root)
+    pseudo = _pseudo_flows(cfg)
     if len(pseudo) != len(frames):
         raise DataError(
             f"{len(frames)} frames but {len(pseudo)} pseudo-label flows"
         )
+    root = _out_root(cfg)
     corrected = _parallel_map(
         lambda pair: write_ppm(warp_backward(pair[0], pair[1])),
         zip(frames, pseudo), cfg.threads,
@@ -246,9 +257,9 @@ def cmd_correct(cfg: PipelineConfig):
 
 def cmd_trajectory(cfg: PipelineConfig):
     """Derive the correction trajectory; emit its CSV, residuals, spectrum."""
+    pseudo = _pseudo_flows(cfg)
+    fwd = _forward_flows(cfg, _run_dir(cfg))
     root = _out_root(cfg)
-    pseudo = _pseudo_flows(cfg, root)
-    fwd = _forward_flows(cfg, root)
     series = trajectory_of_sequence(pseudo, fwd)
     (root / "trajectory.csv").write_text(trajectory_csv(series))
     res_dir = root / "residuals"
@@ -265,12 +276,12 @@ def cmd_adapt(cfg: PipelineConfig):
     """Smooth the correction flows against their pseudo-labels."""
     if cfg.adapt is None:
         raise ConfigError("the adapt stage requires [pipeline] adaptation = true")
-    root = _out_root(cfg)
-    pseudo = _pseudo_flows(cfg, root)
-    fwd = _forward_flows(cfg, root)
-    masks = _masks(cfg, root, len(pseudo), pseudo[0].shape)
+    pseudo = _pseudo_flows(cfg)
+    fwd = _forward_flows(cfg, _run_dir(cfg))
+    masks = _masks(cfg, _run_dir(cfg), len(pseudo), pseudo[0].shape)
     if len(masks) != len(pseudo):
         raise DataError(f"{len(pseudo)} flows but {len(masks)} masks")
+    root = _out_root(cfg)
     adapted, history = adapt_sequence(pseudo, masks, fwd, cfg.adapt)
     out_dir = root / "adapted"
     out_dir.mkdir(exist_ok=True)
@@ -307,7 +318,7 @@ def _annotation_scores(cfg: PipelineConfig, root: Path, pseudo0: FlowField):
 
 
 def _metric_documents(cfg: PipelineConfig, root: Path) -> dict:
-    pseudo = _pseudo_flows(cfg, root)
+    pseudo = _pseudo_flows(cfg)
     fwd = _forward_flows(cfg, root)
     line_b, line_a, shape_b, shape_a = _annotation_scores(cfg, root, pseudo[0])
     stab_before = stab_after = None
@@ -337,9 +348,8 @@ def _metric_documents(cfg: PipelineConfig, root: Path) -> dict:
 def cmd_metrics(cfg: PipelineConfig) -> dict:
     """Score the run: line/shape before vs after correction, stability
     before vs after adaptation."""
-    root = _out_root(cfg)
-    doc = _metric_documents(cfg, root)
-    (root / "metrics.json").write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    doc = _metric_documents(cfg, _run_dir(cfg))
+    (_out_root(cfg) / "metrics.json").write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
     return doc
 
 
@@ -365,6 +375,11 @@ def cmd_pipeline(cfg: PipelineConfig):
     """Run every stage in order and write a before/after summary."""
     if cfg.mode == "synthetic":
         cmd_synth(cfg)
+    else:
+        # cmd_flow writes --out, so the inputs of the later stages are
+        # checked before it runs.
+        _frames_dir(cfg)
+        _require_dir(*_pseudo_dir(cfg))
     cmd_flow(cfg)
     cmd_correct(cfg)
     cmd_trajectory(cfg)

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy import ndimage
 
 from .errors import ContractError, DataError, ShapeError
 from .field import Direction, FlowField, Frame, Mask
@@ -97,17 +96,6 @@ def assemble_condition(m: Mask, i_s: Frame, h=None) -> Conditioning:
         n_feat = h.shape[2]
         parts.append(h)
     return Conditioning(values=np.concatenate(parts, axis=2), n_features=n_feat)
-
-
-def structural_features(i_s: Frame, sigmas: tuple[float, ...] = (1.0, 2.0)) -> np.ndarray:
-    """Analytic feature stack: gradient magnitude of the luma at fixed scales."""
-    gray = i_s.gray()
-    feats = []
-    for s in sigmas:
-        smooth = ndimage.gaussian_filter(gray, sigma=s, mode="nearest")
-        gy, gx = np.gradient(smooth)
-        feats.append(np.hypot(gx, gy))
-    return np.stack(feats, axis=2)
 
 
 def make_schedule(total_steps: int, beta_min: float = DEFAULT_BETA_MIN,

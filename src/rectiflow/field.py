@@ -3,6 +3,8 @@
 Typed pixel grids, frames, binary masks, and two-channel displacement
 fields, plus the bilinear resampling kernel, backward warping, and
 flow-at-displaced-coordinates composition everything else is built on.
+Resampling has one border rule: sample positions are clamped into the
+grid, so content beyond the border repeats the nearest edge value.
 
 Conventions: pixel centers sit at integer coordinates, origin top-left,
 x grows rightward, y grows downward. A displacement is (u, v) = (dx, dy).
@@ -29,17 +31,6 @@ class Direction(Enum):
 
     BACKWARD = "backward"
     FORWARD = "forward"
-
-
-class BorderPolicy(Enum):
-    """How resampling treats coordinates outside the pixel grid.
-
-    CLAMP clips sample positions into [0, w-1] x [0, h-1]; ZERO treats the
-    field as zero beyond the grid. Every resampling call names its policy.
-    """
-
-    CLAMP = "clamp"
-    ZERO = "zero"
 
 
 def _as_field(a, name: str) -> np.ndarray:
@@ -198,85 +189,51 @@ class Mask:
         return self.values.astype(np.float64)
 
 
-def _bilinear(fields, xs, ys, policy: BorderPolicy, with_grad: bool = False) -> list:
+def _bilinear(fields, xs, ys, with_grad: bool = False) -> list:
     """Bilinear samples of same-shape 2-D rasters at one set of points.
 
-    All fields share one set of corner indices and weights, and gather
-    their corners through flat indices. Returns one value array per field
-    or, with_grad, one (value, d/dx, d/dy) triple per field. For the ZERO
-    policy corner contributions are masked by per-corner validity; for
-    CLAMP the fractional parts are zeroed outside the grid and the
-    derivatives are zero wherever a coordinate was pinned, so they are
-    exact for the sampled values. Inputs are not validated here.
+    Sample positions are clamped into [0, w-1] x [0, h-1], so a point
+    beyond the grid takes the value at the nearest border position. All
+    fields share one set of corner indices and weights, and gather their
+    corners through flat indices. Returns one value array per field or,
+    with_grad, one (value, d/dx, d/dy) triple per field. The derivatives
+    are zero wherever a coordinate was pinned, so they are exact for the
+    sampled values. Inputs are not validated here.
     """
     h, w = fields[0].shape
-    if policy is BorderPolicy.CLAMP:
-        xq = np.clip(xs, 0.0, w - 1.0)
-        yq = np.clip(ys, 0.0, h - 1.0)
-        x0 = np.floor(xq)
-        y0 = np.floor(yq)
-        ax = xq - x0
-        ay = yq - y0
-        x0 = x0.astype(np.intp)
-        y0 = y0.astype(np.intp)
-        x1 = np.minimum(x0 + 1, w - 1)
-        y1 = np.minimum(y0 + 1, h - 1)
-        valid = None
-    else:
-        x0f = np.floor(xs)
-        y0f = np.floor(ys)
-        ax = xs - x0f
-        ay = ys - y0f
-        x0 = x0f.astype(np.intp)
-        y0 = y0f.astype(np.intp)
-        x1 = x0 + 1
-        y1 = y0 + 1
-        valid = (
-            ((x0 >= 0) & (x0 < w), (y0 >= 0) & (y0 < h)),
-            ((x1 >= 0) & (x1 < w), (y1 >= 0) & (y1 < h)),
-        )
-        x0 = np.clip(x0, 0, w - 1)
-        x1 = np.clip(x1, 0, w - 1)
-        y0 = np.clip(y0, 0, h - 1)
-        y1 = np.clip(y1, 0, h - 1)
+    xq = np.clip(xs, 0.0, w - 1.0)
+    yq = np.clip(ys, 0.0, h - 1.0)
+    x0 = np.floor(xq)
+    y0 = np.floor(yq)
+    ax = xq - x0
+    ay = yq - y0
+    x0 = x0.astype(np.intp)
+    y0 = y0.astype(np.intp)
+    x1 = np.minimum(x0 + 1, w - 1)
+    y1 = np.minimum(y0 + 1, h - 1)
     row0 = y0 * w
     row1 = y1 * w
     corners = (row0 + x0, row0 + x1, row1 + x0, row1 + x1)
     bx = 1.0 - ax
     by = 1.0 - ay
     w00, w10, w01, w11 = bx * by, ax * by, bx * ay, ax * ay
-    if with_grad and policy is BorderPolicy.CLAMP:
+    if with_grad:
         inside_x = (xs > 0.0) & (xs < w - 1.0)
         inside_y = (ys > 0.0) & (ys < h - 1.0)
     out = []
     for field in fields:
         flat = field.ravel()
         f00, f10, f01, f11 = (flat.take(i) for i in corners)
-        if valid is not None:
-            (vx0, vy0), (vx1, vy1) = valid
-            f00 = np.where(vx0 & vy0, f00, 0.0)
-            f10 = np.where(vx1 & vy0, f10, 0.0)
-            f01 = np.where(vx0 & vy1, f01, 0.0)
-            f11 = np.where(vx1 & vy1, f11, 0.0)
         val = w00 * f00 + w10 * f10 + w01 * f01 + w11 * f11
         if with_grad:
-            ddx = by * (f10 - f00) + ay * (f11 - f01)
-            ddy = bx * (f01 - f00) + ax * (f11 - f10)
-            if policy is BorderPolicy.CLAMP:
-                ddx = np.where(inside_x, ddx, 0.0)
-                ddy = np.where(inside_y, ddy, 0.0)
+            ddx = np.where(inside_x, by * (f10 - f00) + ay * (f11 - f01), 0.0)
+            ddy = np.where(inside_y, bx * (f01 - f00) + ax * (f11 - f10), 0.0)
             val = (val, ddx, ddy)
         out.append(val)
     return out
 
 
-def sample_bilinear(field, xs, ys, policy: BorderPolicy) -> np.ndarray:
-    """Bilinearly interpolate a single-channel field at (xs, ys).
-
-    CLAMP clips coordinates into the grid; ZERO lets contributions from
-    corners outside the grid vanish, so values fade to zero across the
-    border and points fully outside return 0.
-    """
+def _sample_args(field, xs, ys):
     field = _as_field(field, "field")
     if field.ndim != 2:
         raise ShapeError(f"field must be 2-D, got shape {field.shape}")
@@ -286,23 +243,31 @@ def sample_bilinear(field, xs, ys, policy: BorderPolicy) -> np.ndarray:
         raise ShapeError("xs and ys must have the same shape")
     if not (np.all(np.isfinite(xs)) and np.all(np.isfinite(ys))):
         raise DataError("sample coordinates must be finite")
-    return _bilinear((field,), xs, ys, policy)[0]
+    return field, xs, ys
 
 
-def sample_bilinear_with_grad(field, xs, ys, policy: BorderPolicy):
+def sample_bilinear(field, xs, ys) -> np.ndarray:
+    """Bilinearly interpolate a single-channel field at (xs, ys).
+
+    Coordinates are clamped into the grid, so points outside it take the
+    value at the nearest border position.
+    """
+    field, xs, ys = _sample_args(field, xs, ys)
+    return _bilinear((field,), xs, ys)[0]
+
+
+def sample_bilinear_with_grad(field, xs, ys):
     """Interpolated values plus their derivatives w.r.t. the sample coords.
 
-    Shares the index/weight computation with sample_bilinear so the
-    derivatives are exact for the implemented (clamped) interpolant; in
-    particular they are zero wherever CLAMP has pinned a coordinate.
+    Validates like sample_bilinear and shares its kernel, so the
+    derivatives are exact for the clamped interpolant; in particular they
+    are zero wherever clamping has pinned a coordinate.
     """
-    field = _as_field(field, "field")
-    xs = np.asarray(xs, dtype=np.float64)
-    ys = np.asarray(ys, dtype=np.float64)
-    return _bilinear((field,), xs, ys, policy, with_grad=True)[0]
+    field, xs, ys = _sample_args(field, xs, ys)
+    return _bilinear((field,), xs, ys, with_grad=True)[0]
 
 
-def warp_backward(image: Frame, flow: FlowField, policy: BorderPolicy = BorderPolicy.CLAMP) -> Frame:
+def warp_backward(image: Frame, flow: FlowField) -> Frame:
     """Resample an image through a backward flow: out(p) = image(p + flow(p))."""
     if flow.direction is not Direction.BACKWARD:
         raise DirectionError("warp_backward requires a BACKWARD flow")
@@ -316,7 +281,7 @@ def warp_backward(image: Frame, flow: FlowField, policy: BorderPolicy = BorderPo
     stack = image.channel_stack()
     out = np.empty_like(stack)
     for c in range(stack.shape[2]):
-        out[..., c] = sample_bilinear(stack[..., c], xs, ys, policy)
+        out[..., c] = sample_bilinear(stack[..., c], xs, ys)
     return Frame(values=out if out.shape[2] > 1 else out[..., 0])
 
 
@@ -329,7 +294,7 @@ def _disp_channels(disp) -> tuple[np.ndarray, np.ndarray]:
     return d[..., 0], d[..., 1]
 
 
-def compose_displaced(field: FlowField, disp, policy: BorderPolicy = BorderPolicy.CLAMP) -> FlowField:
+def compose_displaced(field: FlowField, disp) -> FlowField:
     """Sample a flow field at displaced coordinates: out(p) = field(p + disp(p)).
 
     Both channels of `field` are sampled at the same displaced position;
@@ -342,30 +307,10 @@ def compose_displaced(field: FlowField, disp, policy: BorderPolicy = BorderPolic
     xs = grid.x + du
     ys = grid.y + dv
     return FlowField(
-        u=sample_bilinear(field.u, xs, ys, policy),
-        v=sample_bilinear(field.v, xs, ys, policy),
+        u=sample_bilinear(field.u, xs, ys),
+        v=sample_bilinear(field.v, xs, ys),
         direction=field.direction,
     )
-
-
-def invert_flow_field(flow: FlowField, iterations: int = 40) -> FlowField:
-    """Numerically invert a backward flow by fixed-point iteration.
-
-    Finds the forward field Ff with q + Ff(q) = p wherever p + flow(p) = q,
-    evaluated on the pixel grid. Converges for smooth flows whose Jacobian
-    stays below 1 in magnitude, which covers the correction flows used here.
-    """
-    if flow.direction is not Direction.BACKWARD:
-        raise DirectionError("invert_flow_field expects a BACKWARD flow")
-    grid = make_grid(*flow.shape)
-    fu = np.zeros(flow.shape)
-    fv = np.zeros(flow.shape)
-    for _ in range(iterations):
-        xs = grid.x + fu
-        ys = grid.y + fv
-        fu = -sample_bilinear(flow.u, xs, ys, BorderPolicy.CLAMP)
-        fv = -sample_bilinear(flow.v, xs, ys, BorderPolicy.CLAMP)
-    return FlowField(u=fu, v=fv, direction=Direction.FORWARD)
 
 
 def pull_points_through_flow(flow: FlowField, points, iterations: int = 40) -> np.ndarray:
@@ -381,6 +326,6 @@ def pull_points_through_flow(flow: FlowField, points, iterations: int = 40) -> n
     px = q[:, 0].copy()
     py = q[:, 1].copy()
     for _ in range(iterations):
-        px = q[:, 0] - sample_bilinear(flow.u, px, py, BorderPolicy.CLAMP)
-        py = q[:, 1] - sample_bilinear(flow.v, px, py, BorderPolicy.CLAMP)
+        px = q[:, 0] - sample_bilinear(flow.u, px, py)
+        py = q[:, 1] - sample_bilinear(flow.v, px, py)
     return np.stack([px, py], axis=1)

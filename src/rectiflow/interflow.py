@@ -23,7 +23,7 @@ import numpy as np
 from scipy import ndimage
 
 from .errors import DataError, FormatError, ShapeError
-from .field import BorderPolicy, Direction, FlowField, Frame, make_grid, sample_bilinear
+from .field import Direction, FlowField, Frame, make_grid, sample_bilinear
 
 _GRAY_SCALE = 255.0  # internal intensity scale so default alpha matches convention
 
@@ -154,7 +154,7 @@ def _solve_level(a, b, u, v, params: HSParams, track_energy: bool):
     """
     h, w = a.shape
     grid = make_grid(h, w)
-    bw = sample_bilinear(b, grid.x + u, grid.y + v, BorderPolicy.CLAMP)
+    bw = sample_bilinear(b, grid.x + u, grid.y + v)
     avg = 0.5 * (a + bw)
     fy_d, fx_d = np.gradient(avg)
     ft = bw - a

@@ -22,8 +22,6 @@ from .errors import DataError, ShapeError
 from .field import FlowField, Frame, Mask
 from .trajectory import TrajectorySeries, backward_residuals
 
-SOBEL_X = np.array([[-1.0, 0.0, 1.0], [-2.0, 0.0, 2.0], [-1.0, 0.0, 1.0]])
-SOBEL_Y = SOBEL_X.T
 _MASK_EPS = 1e-8
 
 
@@ -140,28 +138,37 @@ def sobel(channel) -> tuple[np.ndarray, np.ndarray]:
     return gx, gy
 
 
-def sobel_adjoint(z, kernel) -> np.ndarray:
-    """Adjoint of `correlate(x, kernel, mode="reflect")` as a linear map.
+def sobel_adjoint(zx, zy) -> np.ndarray:
+    """Transpose of `sobel`: maps a pair of (gx, gy) responses back to the raster.
 
-    Scatters each output's kernel taps back to the padded source cells,
-    then folds the border cells onto the edge pixels they replicated.
+    Transposes sobel's own steps in reverse order: the 1-2-1 smoothing,
+    then the central difference onto the padded raster, then the edge
+    padding, whose border cells fold onto the pixels they replicated (rows,
+    then columns, which also carries the corners). On the mask * sign
+    inputs grad_video passes, every partial sum is a small integer, so the
+    result has the same bits as any other summation order.
     """
-    z = np.asarray(z, dtype=np.float64)
-    h, w = z.shape
-    pad = np.zeros((h + 2, w + 2))
-    for di in range(3):
-        for dj in range(3):
-            pad[di : di + h, dj : dj + w] += kernel[di, dj] * z
-    out = pad[1 : h + 1, 1 : w + 1].copy()
-    out[0, :] += pad[0, 1 : w + 1]
-    out[-1, :] += pad[h + 1, 1 : w + 1]
-    out[:, 0] += pad[1 : h + 1, 0]
-    out[:, -1] += pad[1 : h + 1, w + 1]
-    out[0, 0] += pad[0, 0]
-    out[0, -1] += pad[0, w + 1]
-    out[-1, 0] += pad[h + 1, 0]
-    out[-1, -1] += pad[h + 1, w + 1]
-    return out
+    zx = np.asarray(zx, dtype=np.float64)
+    zy = np.asarray(zy, dtype=np.float64)
+    h, w = zx.shape
+    dx = np.zeros((h + 2, w))
+    dx[:-2] += zx
+    dx[1:-1] += 2.0 * zx
+    dx[2:] += zx
+    dy = np.zeros((h, w + 2))
+    dy[:, :-2] += zy
+    dy[:, 1:-1] += 2.0 * zy
+    dy[:, 2:] += zy
+    p = np.zeros((h + 2, w + 2))
+    p[:, 2:] += dx
+    p[:, :-2] -= dx
+    p[2:, :] += dy
+    p[:-2, :] -= dy
+    p[1, :] += p[0, :]
+    p[h, :] += p[h + 1, :]
+    p[:, 1] += p[:, 0]
+    p[:, w] += p[:, w + 1]
+    return p[1 : h + 1, 1 : w + 1].copy()
 
 
 def loss_mask(f: FlowField, f_gt: FlowField, m: Mask) -> float:
@@ -312,8 +319,7 @@ def grad_video(f_seq, pseudo_seq, masks, f_fwd_seq, lw: LossWeights = LossWeight
             scale = lw.mu_mask / (n * (np.sum(mv) + _MASK_EPS))
             for ch_idx, (ch, ch_gt) in enumerate(((f.u, p.u), (f.v, p.v))):
                 gx, gy = sobel(ch - ch_gt)
-                back = sobel_adjoint(mv * np.sign(gx), SOBEL_X)
-                back += sobel_adjoint(mv * np.sign(gy), SOBEL_Y)
+                back = sobel_adjoint(mv * np.sign(gx), mv * np.sign(gy))
                 grad[t, ..., ch_idx] += scale * back
 
     if lw.lambda_temporal <= 0.0 or n < 3:

@@ -17,7 +17,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import ContractError, DataError, DomainError, ShapeError
-from .field import BorderPolicy, Direction, FlowField, Frame, Mask, make_grid, warp_backward
+from .field import Direction, FlowField, Frame, Mask, make_grid, warp_backward
 
 _SUBGRID = (np.arange(4) + 0.5) / 4.0 - 0.5  # 4x4 supersampling offsets per pixel
 
@@ -416,7 +416,7 @@ def apply_jitter(frames, spec: JitterSpec) -> tuple[list, list]:
             continue
         sx, sy = _rigid_invert(grid.x, grid.y, dx[t], dy[t], theta[t], cx, cy)
         back = FlowField(u=sx - grid.x, v=sy - grid.y, direction=Direction.BACKWARD)
-        jittered.append(warp_backward(f, back, BorderPolicy.CLAMP))
+        jittered.append(warp_backward(f, back))
 
     flows = []
     for t in range(len(frames) - 1):

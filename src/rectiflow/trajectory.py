@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractError, DirectionError, ShapeError
-from .field import BorderPolicy, Direction, FlowField, _bilinear, compose_displaced, make_grid
+from .field import Direction, FlowField, _bilinear, compose_displaced, make_grid
 
 _SUMMARY_MARGIN = 2  # boundary pixels excluded from summaries to avoid clamp bias
 
@@ -80,7 +80,7 @@ def backward_residuals(f_seq, f_fwd_seq, with_slopes: bool = False):
     each item is (residual, slopes), where slopes holds
     ((du/dx, du/dy), (dv/dx, dv/dy)): the derivatives of the sampled
     inter-frame flow with respect to the sample position, zero where the
-    CLAMP border pinned the position.
+    clamped border pinned the position.
     """
     grid = None
     for f_t, f_t1, f_fwd in zip(f_seq, f_seq[1:], f_fwd_seq):
@@ -91,8 +91,7 @@ def backward_residuals(f_seq, f_fwd_seq, with_slopes: bool = False):
             raise ShapeError("all fields must share dimensions")
         if grid is None or (grid.height, grid.width) != f_t.shape:
             grid = make_grid(*f_t.shape)
-        sampled = _bilinear((f_fwd.u, f_fwd.v), grid.x + f_t.u, grid.y + f_t.v,
-                            BorderPolicy.CLAMP, with_slopes)
+        sampled = _bilinear((f_fwd.u, f_fwd.v), grid.x + f_t.u, grid.y + f_t.v, with_slopes)
         if with_slopes:
             (moved_u, du_dx, du_dy), (moved_v, dv_dx, dv_dy) = sampled
         else:
@@ -125,7 +124,7 @@ def residual_forward(f_t: FlowField, f_t1: FlowField, f_bwd: FlowField) -> np.nd
     _require(f_bwd, Direction.FORWARD, "f_bwd")
     if not (f_t.shape == f_t1.shape == f_bwd.shape):
         raise ShapeError("all fields must share dimensions")
-    moved = compose_displaced(f_t, f_bwd, BorderPolicy.CLAMP)
+    moved = compose_displaced(f_t, f_bwd)
     return np.stack([f_bwd.u + moved.u - f_t1.u, f_bwd.v + moved.v - f_t1.v], axis=-1)
 
 

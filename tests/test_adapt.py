@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from rectiflow import (
-    BorderPolicy,
     DataError,
     Direction,
     FlowField,
@@ -175,7 +174,7 @@ def test_correct_sequence_applies_per_frame_warp():
     out = correct_sequence(frames, zero)
     for a, b in zip(out, frames):
         assert np.array_equal(a.values, b.values)
-    single = correct_sequence(frames[:1], zero[:1], BorderPolicy.ZERO)
+    single = correct_sequence(frames[:1], zero[:1])
     assert len(single) == 1
     with pytest.raises(ShapeError):
         correct_sequence(frames, zero[:2])

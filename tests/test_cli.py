@@ -11,9 +11,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from rectiflow import ConfigError, cli
+from rectiflow import ConfigError, Frame, cli
 from rectiflow.cli import main
 from rectiflow.config import load_config
+from rectiflow.pnm import write_ppm
 from rectiflow.synth import JitterProfile
 
 _SMALL = """
@@ -175,6 +176,37 @@ def test_ingest_without_frames_dir_fails_before_creating_out(tmp_path, capsys, c
     out = tmp_path / "out_ing"
     assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
     assert "frames_dir" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["correct", "trajectory", "adapt", "metrics", "pipeline"])
+def test_ingest_without_pseudo_dir_fails_at_config_and_writes_nothing(tmp_path, capsys, command):
+    text = f"[pipeline]\nmode = ingest\nseed = 1\n[ingest]\nframes_dir = {tmp_path / 'absent'}\n"
+    out = tmp_path / "run"
+    assert main([command, "--config", str(_write_config(tmp_path, text)), "--out", str(out)]) == 2
+    assert "[ingest] pseudo_dir" in capsys.readouterr().err
+    assert not out.exists()
+
+
+_MISSING_INPUTS = [("flow", "frames_dir"), ("correct", "frames_dir"), ("pipeline", "frames_dir"),
+                   ("correct", "pseudo_dir"), ("pipeline", "pseudo_dir")]
+
+
+@pytest.mark.parametrize("command, missing", _MISSING_INPUTS,
+                         ids=[f"{c}-{m}" for c, m in _MISSING_INPUTS])
+def test_ingest_missing_input_directory_writes_nothing(tmp_path, capsys, command, missing):
+    dirs = {"frames_dir": tmp_path / "frames", "pseudo_dir": tmp_path / "pseudo"}
+    for path in dirs.values():
+        path.mkdir()
+    for t in range(2):
+        (dirs["frames_dir"] / f"{t:06d}.ppm").write_bytes(write_ppm(Frame(values=np.full((8, 8), 0.5))))
+    dirs[missing] = tmp_path / "absent"
+    text = "[pipeline]\nmode = ingest\nseed = 1\n[ingest]\n"
+    text += "".join(f"{key} = {path}\n" for key, path in dirs.items())
+    out = tmp_path / "run"
+    assert main([command, "--config", str(_write_config(tmp_path, text)), "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert "missing input directory" in err and str(tmp_path / "absent") in err
     assert not out.exists()
 
 

@@ -13,7 +13,6 @@ from rectiflow.ddim import (
     make_schedule,
     oracle_denoiser,
     sampling_timesteps,
-    structural_features,
     stub_denoiser,
 )
 
@@ -159,15 +158,3 @@ def test_assemble_condition_channel_order():
         assemble_condition(m, img, np.zeros((h + 1, w, 2)))
     with pytest.raises(ShapeError):
         assemble_condition(m, Frame(values=np.zeros((h, w))))
-
-
-def test_structural_features_basic():
-    img = Frame(values=np.full((12, 12, 3), 0.5))
-    feats = structural_features(img)
-    assert feats.shape == (12, 12, 2)
-    assert np.max(np.abs(feats)) == 0.0
-    rng = np.random.default_rng(2)
-    img2 = Frame(values=rng.random((12, 12, 3)))
-    feats2 = structural_features(img2)
-    assert np.all(feats2 >= 0) and np.all(np.isfinite(feats2))
-    assert np.max(feats2) > 0

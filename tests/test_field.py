@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from rectiflow import (
-    BorderPolicy,
     DataError,
     Direction,
     DirectionError,
@@ -13,7 +12,6 @@ from rectiflow import (
     Mask,
     ShapeError,
     compose_displaced,
-    invert_flow_field,
     make_grid,
     pull_points_through_flow,
     sample_bilinear,
@@ -22,20 +20,15 @@ from rectiflow import (
 )
 
 
-def bilinear_reference(field, x, y, policy):
+def bilinear_reference(field, x, y):
     """Scalar brute-force interpolation used as an independent oracle."""
     h, w = field.shape
 
     def at(r, c):
-        if policy is BorderPolicy.CLAMP:
-            return field[min(max(r, 0), h - 1), min(max(c, 0), w - 1)]
-        if 0 <= r < h and 0 <= c < w:
-            return field[r, c]
-        return 0.0
+        return field[min(max(r, 0), h - 1), min(max(c, 0), w - 1)]
 
-    if policy is BorderPolicy.CLAMP:
-        x = min(max(x, 0.0), w - 1.0)
-        y = min(max(y, 0.0), h - 1.0)
+    x = min(max(x, 0.0), w - 1.0)
+    y = min(max(y, 0.0), h - 1.0)
     c0, r0 = int(np.floor(x)), int(np.floor(y))
     a, b = x - c0, y - r0
     return (
@@ -58,8 +51,8 @@ def test_bilinear_reproduces_affine_fields():
     # A bilinear interpolant restores any affine function exactly.
     g = make_grid(4, 4)
     field = g.x + 10.0 * g.y
-    assert sample_bilinear(field, 0.5, 0.25, BorderPolicy.CLAMP) == pytest.approx(3.0, abs=1e-12)
-    assert sample_bilinear(field, 2.75, 1.5, BorderPolicy.CLAMP) == pytest.approx(17.75, abs=1e-12)
+    assert sample_bilinear(field, 0.5, 0.25) == pytest.approx(3.0, abs=1e-12)
+    assert sample_bilinear(field, 2.75, 1.5) == pytest.approx(17.75, abs=1e-12)
 
 
 def test_bilinear_matches_bruteforce_oracle():
@@ -67,19 +60,17 @@ def test_bilinear_matches_bruteforce_oracle():
     field = rng.random((7, 9))
     xs = rng.uniform(-2.0, 10.0, size=25)
     ys = rng.uniform(-2.0, 8.0, size=25)
-    for policy in (BorderPolicy.CLAMP, BorderPolicy.ZERO):
-        got = sample_bilinear(field, xs, ys, policy)
-        want = [bilinear_reference(field, x, y, policy) for x, y in zip(xs, ys)]
-        assert np.allclose(got, want, atol=1e-12)
+    got = sample_bilinear(field, xs, ys)
+    want = [bilinear_reference(field, x, y) for x, y in zip(xs, ys)]
+    assert np.allclose(got, want, atol=1e-12)
 
 
-def test_bilinear_zero_policy_fades_to_zero():
-    field = np.ones((4, 4))
-    assert sample_bilinear(field, -1.0, 0.0, BorderPolicy.ZERO) == 0.0
-    assert sample_bilinear(field, -0.5, 0.0, BorderPolicy.ZERO) == pytest.approx(0.5)
-    assert sample_bilinear(field, 5.0, 5.0, BorderPolicy.ZERO) == 0.0
-    # CLAMP pins the same queries to the nearest border pixel.
-    assert sample_bilinear(field, -1.0, 0.0, BorderPolicy.CLAMP) == 1.0
+def test_bilinear_clamps_outside_queries_to_the_border():
+    field = np.arange(16.0).reshape(4, 4)
+    assert sample_bilinear(field, -1.0, 0.0) == 0.0
+    assert sample_bilinear(field, 5.0, 5.0) == 15.0
+    # Only the pinned coordinate moves; the other still interpolates.
+    assert sample_bilinear(field, -0.5, 1.5) == 6.0
 
 
 def test_bilinear_is_linear_in_the_field():
@@ -88,20 +79,22 @@ def test_bilinear_is_linear_in_the_field():
     f2 = rng.random((5, 6))
     xs = rng.uniform(0, 5, size=40)
     ys = rng.uniform(0, 4, size=40)
-    for policy in (BorderPolicy.CLAMP, BorderPolicy.ZERO):
-        lhs = sample_bilinear(2.5 * f1 - 0.75 * f2, xs, ys, policy)
-        rhs = 2.5 * sample_bilinear(f1, xs, ys, policy) - 0.75 * sample_bilinear(f2, xs, ys, policy)
-        assert np.allclose(lhs, rhs, atol=1e-12)
+    lhs = sample_bilinear(2.5 * f1 - 0.75 * f2, xs, ys)
+    rhs = 2.5 * sample_bilinear(f1, xs, ys) - 0.75 * sample_bilinear(f2, xs, ys)
+    assert np.allclose(lhs, rhs, atol=1e-12)
 
 
 def test_bilinear_rejects_bad_inputs():
     field = np.zeros((3, 3))
-    with pytest.raises(DataError):
-        sample_bilinear(field, np.nan, 0.0, BorderPolicy.CLAMP)
-    with pytest.raises(ShapeError):
-        sample_bilinear(np.zeros((3, 3, 3)), 0.0, 0.0, BorderPolicy.CLAMP)
-    with pytest.raises(DataError):
-        sample_bilinear(np.full((3, 3), np.inf), 0.0, 0.0, BorderPolicy.CLAMP)
+    for sample in (sample_bilinear, sample_bilinear_with_grad):
+        with pytest.raises(DataError):
+            sample(field, np.nan, 0.0)
+        with pytest.raises(ShapeError):
+            sample(field, np.zeros(2), np.zeros(1))
+        with pytest.raises(ShapeError):
+            sample(np.zeros((3, 3, 3)), 0.0, 0.0)
+        with pytest.raises(DataError):
+            sample(np.full((3, 3), np.inf), 0.0, 0.0)
 
 
 def test_gradient_matches_finite_differences():
@@ -112,13 +105,13 @@ def test_gradient_matches_finite_differences():
     xs += np.where(np.abs(xs - np.round(xs)) < 0.05, 0.1, 0.0)
     ys = rng.uniform(0.3, 6.7, size=30)
     ys += np.where(np.abs(ys - np.round(ys)) < 0.05, 0.1, 0.0)
-    val, ddx, ddy = sample_bilinear_with_grad(field, xs, ys, BorderPolicy.CLAMP)
-    assert np.allclose(val, sample_bilinear(field, xs, ys, BorderPolicy.CLAMP), atol=1e-14)
+    val, ddx, ddy = sample_bilinear_with_grad(field, xs, ys)
+    assert np.allclose(val, sample_bilinear(field, xs, ys), atol=1e-14)
     h = 1e-6
-    fdx = (sample_bilinear(field, xs + h, ys, BorderPolicy.CLAMP)
-           - sample_bilinear(field, xs - h, ys, BorderPolicy.CLAMP)) / (2 * h)
-    fdy = (sample_bilinear(field, xs, ys + h, BorderPolicy.CLAMP)
-           - sample_bilinear(field, xs, ys - h, BorderPolicy.CLAMP)) / (2 * h)
+    fdx = (sample_bilinear(field, xs + h, ys)
+           - sample_bilinear(field, xs - h, ys)) / (2 * h)
+    fdy = (sample_bilinear(field, xs, ys + h)
+           - sample_bilinear(field, xs, ys - h)) / (2 * h)
     assert np.allclose(ddx, fdx, atol=1e-6)
     assert np.allclose(ddy, fdy, atol=1e-6)
 
@@ -126,8 +119,7 @@ def test_gradient_matches_finite_differences():
 def test_gradient_vanishes_where_clamped():
     rng = np.random.default_rng(5)
     field = rng.random((6, 6))
-    _, ddx, ddy = sample_bilinear_with_grad(field, np.array([-2.0, 7.3]), np.array([2.5, -1.0]),
-                                            BorderPolicy.CLAMP)
+    _, ddx, ddy = sample_bilinear_with_grad(field, np.array([-2.0, 7.3]), np.array([2.5, -1.0]))
     assert np.all(ddx == 0.0)
     # y = 2.5 is interior for the first probe, so only the second row pins.
     assert ddy[1] == 0.0
@@ -187,29 +179,13 @@ def test_compose_accepts_raw_displacement_array():
     assert out.direction is Direction.FORWARD
 
 
-def test_invert_flow_field_round_trips():
-    g = make_grid(16, 16)
-    cx, cy = 7.5, 7.5
-    u = 0.05 * (g.x - cx)
-    v = 0.05 * (g.y - cy)
-    back = FlowField(u=u, v=v, direction=Direction.BACKWARD)
-    fwd = invert_flow_field(back)
-    assert fwd.direction is Direction.FORWARD
-    # Composing either way should cancel the displacement in the interior.
-    recon = compose_displaced(back, fwd)
-    total_u = fwd.u + recon.u
-    total_v = fwd.v + recon.v
-    assert np.max(np.abs(total_u[2:-2, 2:-2])) < 1e-8
-    assert np.max(np.abs(total_v[2:-2, 2:-2])) < 1e-8
-
-
 def test_pull_points_solves_fixed_point():
     g = make_grid(20, 20)
     back = FlowField(u=0.1 * (g.x - 9.5), v=-0.08 * (g.y - 9.5), direction=Direction.BACKWARD)
     q = np.array([[4.0, 6.0], [12.25, 3.5], [9.5, 9.5]])
     p = pull_points_through_flow(back, q)
-    fx = sample_bilinear(back.u, p[:, 0], p[:, 1], BorderPolicy.CLAMP)
-    fy = sample_bilinear(back.v, p[:, 0], p[:, 1], BorderPolicy.CLAMP)
+    fx = sample_bilinear(back.u, p[:, 0], p[:, 1])
+    fy = sample_bilinear(back.v, p[:, 0], p[:, 1])
     assert np.allclose(p[:, 0] + fx, q[:, 0], atol=1e-9)
     assert np.allclose(p[:, 1] + fy, q[:, 1], atol=1e-9)
 

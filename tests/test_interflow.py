@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from rectiflow import DataError, Direction, FlowField, FormatError, ShapeError
-from rectiflow.field import BorderPolicy, Frame, make_grid, sample_bilinear
+from rectiflow.field import Frame, make_grid, sample_bilinear
 from rectiflow.interflow import (
     HSParams,
     _level_energy,
@@ -64,9 +64,9 @@ def test_forward_backward_consistency():
     fab = estimate_flow(a, b, HSParams())
     fba = reverse_pair(a, b, HSParams())
     g = np.mgrid[0:128, 0:128].astype(np.float64)
-    from rectiflow import BorderPolicy, sample_bilinear
-    bu = sample_bilinear(fba.u, g[1] + fab.u, g[0] + fab.v, BorderPolicy.CLAMP)
-    bv = sample_bilinear(fba.v, g[1] + fab.u, g[0] + fab.v, BorderPolicy.CLAMP)
+    from rectiflow import sample_bilinear
+    bu = sample_bilinear(fba.u, g[1] + fab.u, g[0] + fab.v)
+    bv = sample_bilinear(fba.v, g[1] + fab.u, g[0] + fab.v)
     c = slice(16, -16)
     resid = np.hypot((fab.u + bu)[c, c], (fab.v + bv)[c, c])
     assert np.mean(resid) < 0.5
@@ -97,7 +97,7 @@ def _reference_solve_level(a, b, u, v, params, track_energy):
     """
     h, w = a.shape
     grid = make_grid(h, w)
-    bw = sample_bilinear(b, grid.x + u, grid.y + v, BorderPolicy.CLAMP)
+    bw = sample_bilinear(b, grid.x + u, grid.y + v)
     avg = 0.5 * (a + bw)
     fy_d, fx_d = np.gradient(avg)
     ft = bw - a

@@ -3,11 +3,9 @@
 import numpy as np
 import pytest
 
-from rectiflow import (BorderPolicy, Direction, FlowField, Frame, Mask, ShapeError, make_grid,
+from rectiflow import (Direction, FlowField, Frame, Mask, ShapeError, make_grid,
                        sample_bilinear_with_grad)
 from rectiflow.losses import (
-    SOBEL_X,
-    SOBEL_Y,
     LossWeights,
     WeightMap,
     grad_video,
@@ -26,6 +24,10 @@ from rectiflow.trajectory import accumulate, trajectory_of_sequence
 def _flow(u, v, direction=Direction.BACKWARD):
     return FlowField(u=np.asarray(u, dtype=float), v=np.asarray(v, dtype=float),
                      direction=direction)
+
+
+SOBEL_X = np.array([[-1.0, 0.0, 1.0], [-2.0, 0.0, 2.0], [-1.0, 0.0, 1.0]])
+SOBEL_Y = SOBEL_X.T
 
 
 def sobel_reference(x, kernel):
@@ -112,15 +114,57 @@ def test_sobel_matches_bruteforce():
     assert np.allclose(gy, sobel_reference(x, SOBEL_Y), atol=1e-12)
 
 
+def _reference_sobel_adjoint(z, kernel):
+    """Adjoint of one 3x3 edge-padded correlation as a 9-tap scatter.
+
+    Scatters each output's kernel taps back to the padded source cells,
+    then folds the border cells onto the edge pixels they replicated.
+    """
+    h, w = z.shape
+    pad = np.zeros((h + 2, w + 2))
+    for di in range(3):
+        for dj in range(3):
+            pad[di : di + h, dj : dj + w] += kernel[di, dj] * z
+    out = pad[1 : h + 1, 1 : w + 1].copy()
+    out[0, :] += pad[0, 1 : w + 1]
+    out[-1, :] += pad[h + 1, 1 : w + 1]
+    out[:, 0] += pad[1 : h + 1, 0]
+    out[:, -1] += pad[1 : h + 1, w + 1]
+    out[0, 0] += pad[0, 0]
+    out[0, -1] += pad[0, w + 1]
+    out[-1, 0] += pad[h + 1, 0]
+    out[-1, -1] += pad[h + 1, w + 1]
+    return out
+
+
 def test_sobel_adjoint_identity():
     rng = np.random.default_rng(13)
-    for kernel in (SOBEL_X, SOBEL_Y):
-        x = rng.random((8, 9))
-        z = rng.random((8, 9))
-        gx = sobel_reference(x, kernel)
-        lhs = float(np.sum(gx * z))
-        rhs = float(np.sum(x * sobel_adjoint(z, kernel)))
+    for shape in ((8, 9), (1, 1), (1, 5), (4, 1)):
+        x = rng.random(shape)
+        zx = rng.random(shape)
+        zy = rng.random(shape)
+        gx, gy = sobel(x)
+        lhs = float(np.sum(gx * zx) + np.sum(gy * zy))
+        rhs = float(np.sum(x * sobel_adjoint(zx, zy)))
         assert lhs == pytest.approx(rhs, rel=1e-12)
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (1, 5), (2, 2), (3, 7), (33, 17), (128, 128)])
+def test_sobel_adjoint_is_bit_exact_against_nine_tap_scatter(shape):
+    """grad_video feeds mask * sign(g): with 0/1 masks every partial sum is
+    a small integer, so the separable transpose must match the scatter bit
+    for bit, signed zeros included."""
+    rng = np.random.default_rng(shape[0] * 1000 + shape[1])
+    for _ in range(4):
+        mask = (rng.random(shape) < 0.6).astype(np.float64)
+        zx = mask * np.sign(rng.integers(-1, 2, shape).astype(np.float64))
+        zy = mask * np.sign(rng.integers(-1, 2, shape).astype(np.float64))
+        zx[rng.random(shape) < 0.2] = -0.0
+        zy[rng.random(shape) < 0.2] = -0.0
+        got = sobel_adjoint(zx, zy)
+        want = _reference_sobel_adjoint(zx, SOBEL_X) + _reference_sobel_adjoint(zy, SOBEL_Y)
+        assert got.tobytes() == want.tobytes()
+        assert np.array_equal(np.signbit(got), np.signbit(want))
 
 
 # --- loss_mask ------------------------------------------------------------
@@ -359,8 +403,8 @@ def _reference_grad_video(f_seq, pseudo_seq, masks, f_fwd_seq, lw):
             scale = lw.mu_mask / (n * (np.sum(mv) + 1e-8))
             for ch_idx, (ch, ch_gt) in enumerate(((f.u, p.u), (f.v, p.v))):
                 gx, gy = sobel(ch - ch_gt)
-                back = sobel_adjoint(mv * np.sign(gx), SOBEL_X)
-                back += sobel_adjoint(mv * np.sign(gy), SOBEL_Y)
+                back = _reference_sobel_adjoint(mv * np.sign(gx), SOBEL_X)
+                back += _reference_sobel_adjoint(mv * np.sign(gy), SOBEL_Y)
                 grad[t, ..., ch_idx] += scale * back
     if lw.lambda_temporal <= 0.0 or n < 3:
         return grad
@@ -387,8 +431,8 @@ def _reference_grad_video(f_seq, pseudo_seq, masks, f_fwd_seq, lw):
         fw = f_fwd_seq[t - 1]
         xs = grid.x + f_seq[t - 1].u
         ys = grid.y + f_seq[t - 1].v
-        _, du_dx, du_dy = sample_bilinear_with_grad(fw.u, xs, ys, BorderPolicy.CLAMP)
-        _, dv_dx, dv_dy = sample_bilinear_with_grad(fw.v, xs, ys, BorderPolicy.CLAMP)
+        _, du_dx, du_dy = sample_bilinear_with_grad(fw.u, xs, ys)
+        _, dv_dx, dv_dy = sample_bilinear_with_grad(fw.v, xs, ys)
         grad[t - 1, ..., 0] += g[..., 0] * du_dx + g[..., 1] * dv_dx
         grad[t - 1, ..., 1] += g[..., 0] * du_dy + g[..., 1] * dv_dy
     return grad
