@@ -4,7 +4,7 @@ Optimizes the flow fields directly: full-batch gradient descent keeps
 each frame's correction close to its pseudo-label (spatial terms) while
 flattening the warping trajectory (temporal term). Inter-frame flows are
 held fixed. A backtracking line search makes the recorded loss history
-non-increasing, and the whole run is deterministic.
+strictly decreasing, and the whole run is deterministic.
 """
 
 from __future__ import annotations

@@ -20,6 +20,10 @@ from .errors import ContractError, DataError, DomainError, ShapeError
 from .field import Direction, FlowField, Frame, Mask, make_grid, warp_backward
 
 _SUBGRID = (np.arange(4) + 0.5) / 4.0 - 0.5  # 4x4 supersampling offsets per pixel
+# Subsamples evaluated per block of pixel rows in render_scene: 128 KiB per
+# float64 temporary, so a block's working set stays in cache. A block always
+# holds at least one row.
+_TILE_SAMPLES = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -194,16 +198,22 @@ _FACE_VALUE = 0.62
 _LINE_POINTS = 32
 
 
-def _background(spec: SceneSpec, cam: CameraSpec, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    """Smooth seeded blob texture, evaluable at arbitrary ideal-space coords."""
+def _background_blobs(spec: SceneSpec, cam: CameraSpec) -> tuple[np.ndarray, ...]:
+    """The background's seeded blobs: centres x and y, widths, amplitudes."""
     rng = np.random.default_rng(spec.seed)
     n_blobs = 8
     cxs = rng.uniform(0, cam.width - 1, n_blobs)
     cys = rng.uniform(0, cam.height - 1, n_blobs)
     sig = rng.uniform(min(cam.width, cam.height) / 12.0, min(cam.width, cam.height) / 5.0, n_blobs)
     amp = rng.uniform(-0.22, 0.28, n_blobs)
+    return cxs, cys, sig, amp
+
+
+def _background(blobs: tuple[np.ndarray, ...], xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """Smooth blob texture, evaluable at arbitrary ideal-space coords."""
+    cxs, cys, sig, amp = blobs
     v = np.full(xs.shape, 0.72)
-    for k in range(n_blobs):
+    for k in range(amp.size):
         d2 = (xs - cxs[k]) ** 2 + (ys - cys[k]) ** 2
         v = v + amp[k] * np.exp(-d2 / (2.0 * sig[k] ** 2))
     return np.clip(v, 0.30, 0.95)
@@ -230,8 +240,9 @@ def _inside_ellipse(xs, ys, center, axes, phi) -> np.ndarray:
     return (ex / a) ** 2 + (ey / b) ** 2 <= 1.0
 
 
-def _scene_value(spec: SceneSpec, cam: CameraSpec, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    v = _background(spec, cam, xs, ys)
+def _scene_value(spec: SceneSpec, blobs: tuple[np.ndarray, ...], xs: np.ndarray,
+                 ys: np.ndarray) -> np.ndarray:
+    v = _background(blobs, xs, ys)
     for center, axes, phi in spec.face_ellipses:
         inside = _inside_ellipse(xs, ys, center, axes, phi)
         v = np.where(inside, 0.5 * v + 0.5 * _FACE_VALUE, v)
@@ -261,9 +272,14 @@ def render_scene(spec: SceneSpec, cam: CameraSpec, distorted: bool) -> tuple[Fra
     The observed raster is produced by evaluating the analytic scene at the
     exact ideal-space preimage of each subpixel sample, so warping it with
     stereographic_correction_flow recovers the ideal rendering up to
-    resampling error. Annotations carry every line's point samples and
-    every face's landmarks in both ideal and image coordinates; geometry
-    that leaves the frame after distortion is flagged, never dropped.
+    resampling error. Each pixel is the mean of its 4x4 subsamples,
+    evaluated one block of whole pixel rows at a time (at most
+    _TILE_SAMPLES subsamples, at least one row). Subsamples are computed
+    elementwise and each pixel averages only its own, so the result is
+    bit-identical to a whole-frame evaluation.
+    Annotations carry every line's point samples and every face's
+    landmarks in both ideal and image coordinates; geometry that leaves
+    the frame after distortion is flagged, never dropped.
     """
     for a, b in spec.line_segments:
         if not _in_frame(np.array([a, b]), cam):
@@ -272,15 +288,22 @@ def render_scene(spec: SceneSpec, cam: CameraSpec, distorted: bool) -> tuple[Fra
         if not _in_frame(np.array([center]), cam):
             raise ContractError(f"face center {center} lies outside the frame in ideal space")
 
+    blobs = _background_blobs(spec, cam)
     grid = make_grid(cam.height, cam.width)
     ox, oy = np.meshgrid(_SUBGRID, _SUBGRID)
-    xs = (grid.x[..., None] + ox.ravel()).ravel()
-    ys = (grid.y[..., None] + oy.ravel()).ravel()
-    if distorted:
-        ideal = undistort_points(np.stack([xs, ys], axis=1), cam)
-        xs, ys = ideal[:, 0], ideal[:, 1]
-    values = _scene_value(spec, cam, xs, ys)
-    frame = Frame(values=values.reshape(cam.height, cam.width, -1).mean(axis=2))
+    ox, oy = ox.ravel(), oy.ravel()
+    rows = max(1, _TILE_SAMPLES // (cam.width * ox.size))
+    values = np.empty((cam.height, cam.width))
+    for r0 in range(0, cam.height, rows):
+        block = slice(r0, r0 + rows)
+        xs = (grid.x[block, :, None] + ox).ravel()
+        ys = (grid.y[block, :, None] + oy).ravel()
+        if distorted:
+            ideal = undistort_points(np.stack([xs, ys], axis=1), cam)
+            xs, ys = ideal[:, 0], ideal[:, 1]
+        samples = _scene_value(spec, blobs, xs, ys)
+        values[block] = samples.reshape(-1, cam.width, ox.size).mean(axis=2)
+    frame = Frame(values=values)
 
     def to_image(pts: np.ndarray) -> np.ndarray:
         return distort_points(pts, cam) if distorted else np.array(pts, dtype=np.float64)

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from rectiflow import Direction, DomainError, DataError, sample_bilinear, warp_backward
+from rectiflow import Direction, DomainError, DataError, sample_bilinear, synth, warp_backward
+from rectiflow.field import make_grid
 from rectiflow.synth import (
     CameraSpec,
     JitterProfile,
@@ -114,6 +115,88 @@ def test_render_flags_geometry_leaving_frame():
     assert ann.lines[0].out_of_frame
     _, ann_ideal = render_scene(spec, cam, distorted=False)
     assert not ann_ideal.lines[0].out_of_frame
+
+
+def _reference_render_values(spec, cam, distorted):
+    """Whole-frame render: every 4x4 subsample of the frame in one flat array,
+    with the background blobs drawn from the scene seed on the spot."""
+    grid = make_grid(cam.height, cam.width)
+    ox, oy = np.meshgrid(synth._SUBGRID, synth._SUBGRID)
+    xs = (grid.x[..., None] + ox.ravel()).ravel()
+    ys = (grid.y[..., None] + oy.ravel()).ravel()
+    if distorted:
+        ideal = undistort_points(np.stack([xs, ys], axis=1), cam)
+        xs, ys = ideal[:, 0], ideal[:, 1]
+    rng = np.random.default_rng(spec.seed)
+    n_blobs = 8
+    cxs = rng.uniform(0, cam.width - 1, n_blobs)
+    cys = rng.uniform(0, cam.height - 1, n_blobs)
+    sig = rng.uniform(min(cam.width, cam.height) / 12.0, min(cam.width, cam.height) / 5.0, n_blobs)
+    amp = rng.uniform(-0.22, 0.28, n_blobs)
+    v = np.full(xs.shape, 0.72)
+    for k in range(n_blobs):
+        d2 = (xs - cxs[k]) ** 2 + (ys - cys[k]) ** 2
+        v = v + amp[k] * np.exp(-d2 / (2.0 * sig[k] ** 2))
+    v = np.clip(v, 0.30, 0.95)
+    for center, axes, phi in spec.face_ellipses:
+        inside = synth._inside_ellipse(xs, ys, center, axes, phi)
+        v = np.where(inside, 0.5 * v + 0.5 * synth._FACE_VALUE, v)
+    for a, b in spec.line_segments:
+        near = synth._segment_distance(xs, ys, a, b) <= synth._LINE_HALF_WIDTH
+        v = np.where(near, synth._LINE_VALUE, v)
+    return v.reshape(cam.height, cam.width, -1).mean(axis=2)
+
+
+def _block_rows(cam):
+    return max(1, synth._TILE_SAMPLES // (cam.width * synth._SUBGRID.size ** 2))
+
+
+_WIDE_CAM = CameraSpec(width=1100, height=2, focal_px=400.0)
+_WIDE_SCENE = SceneSpec(
+    line_segments=(((20.0, 0.2), (1080.0, 0.9)), ((549.0, 0.0), (551.0, 1.0))),
+    face_ellipses=(((700.0, 0.5), (30.0, 3.0), 0.1),),
+    face_landmarks=(((700.0, 0.5), (690.0, 0.5), (710.0, 0.5)),),
+    seed=17,
+)
+
+
+@pytest.mark.parametrize("distorted", [False, True])
+@pytest.mark.parametrize("case", ["smallest", "ragged_last_block", "square", "wider_than_a_tile"])
+def test_render_is_bit_exact_against_whole_frame_reference(case, distorted):
+    if case == "wider_than_a_tile":
+        cam, spec = _WIDE_CAM, _WIDE_SCENE
+        assert _block_rows(cam) == 1 and cam.width * 16 > synth._TILE_SAMPLES
+    elif case == "smallest":
+        # CameraSpec's minimum is 2x2: one block holds the whole frame.
+        cam = CameraSpec(width=2, height=2, focal_px=3.0)
+        spec = SceneSpec(seed=4)
+    elif case == "ragged_last_block":
+        cam = CameraSpec(width=96, height=45, focal_px=70.0)
+        spec = default_scene(cam, n_lines=4, n_faces=2, seed=8)
+        assert 1 < _block_rows(cam) < cam.height and cam.height % _block_rows(cam) != 0
+    else:
+        cam = CameraSpec(width=128, height=128, focal_px=90.0)
+        spec = default_scene(cam, n_lines=5, n_faces=2, seed=3)
+    frame, _ = render_scene(spec, cam, distorted=distorted)
+    expected = _reference_render_values(spec, cam, distorted)
+    assert frame.values.shape == expected.shape
+    assert frame.values.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("distorted", [False, True])
+def test_render_evaluates_at_most_one_tile_of_samples_per_call(monkeypatch, distorted):
+    cam = CameraSpec(width=256, height=256, focal_px=180.0)
+    counts = []
+    scene_value = synth._scene_value
+
+    def recording(spec, blobs, xs, ys):
+        counts.append(xs.size)
+        return scene_value(spec, blobs, xs, ys)
+
+    monkeypatch.setattr(synth, "_scene_value", recording)
+    render_scene(default_scene(cam, n_lines=3, n_faces=1, seed=2), cam, distorted=distorted)
+    assert sum(counts) == cam.width * cam.height * 16
+    assert max(counts) <= synth._TILE_SAMPLES
 
 
 def test_jitter_amplitude_zero_is_identity():
