@@ -83,7 +83,6 @@ from .trajectory import (
     accumulate,
     fit_similarity,
     residual_backward,
-    residual_forward,
     trajectory_of_sequence,
 )
 
@@ -144,7 +143,6 @@ __all__ = [
     "read_flo",
     "render_scene",
     "residual_backward",
-    "residual_forward",
     "reverse_pair",
     "sample_bilinear",
     "sample_bilinear_with_grad",

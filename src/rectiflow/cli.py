@@ -17,7 +17,6 @@ from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
-import scipy
 
 from . import __version__
 from .adapt import adapt_history_csv, adapt_sequence
@@ -155,7 +154,6 @@ def _write_manifest(cfg: PipelineConfig, root: Path):
         "config_sha256": _config_digest(cfg),
         "package": __version__,
         "numpy": np.__version__,
-        "scipy": scipy.__version__,
     }
     (root / "manifest.json").write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
@@ -256,18 +254,12 @@ def cmd_correct(cfg: PipelineConfig):
 
 
 def cmd_trajectory(cfg: PipelineConfig):
-    """Derive the correction trajectory; emit its CSV, residuals, spectrum."""
+    """Derive the correction trajectory; emit its CSV and spectrum."""
     pseudo = _pseudo_flows(cfg)
     fwd = _forward_flows(cfg, _run_dir(cfg))
     root = _out_root(cfg)
     series = trajectory_of_sequence(pseudo, fwd)
     (root / "trajectory.csv").write_text(trajectory_csv(series))
-    res_dir = root / "residuals"
-    res_dir.mkdir(exist_ok=True)
-    for t in range(series.n_frames):
-        f = FlowField(u=series.residuals[t, ..., 0], v=series.residuals[t, ..., 1],
-                      direction=Direction.BACKWARD)
-        (res_dir / f"{t:06d}.flo").write_bytes(write_flo(f))
     if series.n_frames >= 8:
         (root / "spectrum.csv").write_text(spectrum_csv(series))
 

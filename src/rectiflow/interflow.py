@@ -12,6 +12,13 @@ flow is stored as its own contiguous array. Coarse-to-fine warping
 handles motions beyond the linear range. `estimate_flow` tracks no
 energy; `estimate_flow_with_energy` also returns the finest level's
 energy after every sweep.
+
+The pyramid needs numpy only: each level is the previous one smoothed by
+a sigma = 1 Gaussian (`_gaussian`) and resized bilinearly with corners
+mapped to corners (`_zoom`), both with a nearest-edge border. Flows are
+carried to the next finer level by the same resize. Both kernels fix the
+order of every floating-point operation, so their outputs are bit-exact
+against the standard ndimage implementations of these filters.
 """
 
 from __future__ import annotations
@@ -20,7 +27,6 @@ import struct
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage
 
 from .errors import DataError, FormatError, ShapeError
 from .field import Direction, FlowField, Frame, make_grid, sample_bilinear
@@ -50,11 +56,77 @@ def _to_gray(frame: Frame) -> np.ndarray:
     return frame.gray() * _GRAY_SCALE
 
 
+# Normalized Gaussian taps for sigma = 1 at offsets -4..4 (radius 4 sigma).
+_GAUSS_RADIUS = 4
+_GAUSS_TAPS = np.exp(-0.5 * np.arange(-_GAUSS_RADIUS, _GAUSS_RADIUS + 1) ** 2.0)
+_GAUSS_TAPS = _GAUSS_TAPS / _GAUSS_TAPS.sum()
+
+
+def _gaussian_axis(a: np.ndarray, axis: int) -> np.ndarray:
+    """Gaussian along one axis of a 2-D array, edge values repeated beyond it.
+
+    Each output starts from centre * w[0], then adds (left + right) * w[j]
+    for j = 4 down to 1, the order of a symmetric 1-D correlation.
+    """
+    r, n = _GAUSS_RADIUS, a.shape[axis]
+    first, last = (a[:1], a[-1:]) if axis == 0 else (a[:, :1], a[:, -1:])
+    padded = np.concatenate([first.repeat(r, axis), a, last.repeat(r, axis)], axis)
+
+    def shifted(k):  # the n padded values from offset k on, along axis
+        return padded[k:k + n] if axis == 0 else padded[:, k:k + n]
+
+    out = a * _GAUSS_TAPS[r]
+    pair = np.empty_like(out)
+    for j in range(r, 0, -1):
+        np.add(shifted(r - j), shifted(r + j), out=pair)
+        pair *= _GAUSS_TAPS[r + j]
+        out += pair
+    return out
+
+
+def _gaussian(img: np.ndarray) -> np.ndarray:
+    """Separable sigma = 1 Gaussian, axis 0 then axis 1, nearest-edge border."""
+    return _gaussian_axis(_gaussian_axis(img, 0), 1)
+
+
+def _zoom_axis(n_in: int, n_out: int):
+    """Source indices and linear weights of each output index on one axis.
+
+    The coordinate c = k * ((n_in - 1) / (n_out - 1)) is not clamped: at the
+    last output it can land an ulp past n_in - 1, where the clamped index
+    pair blends the edge value with itself. Clamping c would move such
+    outputs by an ulp.
+    """
+    c = np.arange(n_out) * ((n_in - 1) / (n_out - 1))
+    i0 = np.floor(c).astype(np.intp)
+    w0 = 1.0 - (c - i0)
+    return i0, np.minimum(i0 + 1, n_in - 1), w0, 1.0 - w0
+
+
+def _zoom(a: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
+    """Bilinear resize of a 2-D array to shape, corners mapped to corners.
+
+    The four corner terms a * wy * wx are summed from zero in the order
+    (y0, x0), (y0, x1), (y1, x0), (y1, x1).
+    """
+    y0, y1, wy0, wy1 = _zoom_axis(a.shape[0], shape[0])
+    x0, x1, wx0, wx1 = _zoom_axis(a.shape[1], shape[1])
+    out = np.zeros(shape)  # from +0.0, so a sum of -0.0 terms is +0.0
+    term = np.empty(shape)
+    for y, wy in ((y0, wy0), (y1, wy1)):
+        rows = a[y]
+        for x, wx in ((x0, wx0), (x1, wx1)):
+            np.take(rows, x, axis=1, out=term)
+            term *= wy[:, None]
+            term *= wx
+            out += term
+    return out
+
+
 def _downsample(img: np.ndarray, factor: float) -> np.ndarray:
     h = max(4, int(round(img.shape[0] * factor)))
     w = max(4, int(round(img.shape[1] * factor)))
-    smoothed = ndimage.gaussian_filter(img, sigma=1.0, mode="nearest")
-    return ndimage.zoom(smoothed, (h / img.shape[0], w / img.shape[1]), order=1, mode="nearest")
+    return _zoom(_gaussian(img), (h, w))
 
 
 def _pyramid(img: np.ndarray, params: HSParams) -> list[np.ndarray]:
@@ -70,8 +142,9 @@ def _pyramid(img: np.ndarray, params: HSParams) -> list[np.ndarray]:
 def _upsample_flow(u: np.ndarray, v: np.ndarray, shape: tuple[int, int]):
     fy = shape[0] / u.shape[0]
     fx = shape[1] / u.shape[1]
-    u2 = ndimage.zoom(u, (fy, fx), order=1, mode="nearest") * fx
-    v2 = ndimage.zoom(v, (fy, fx), order=1, mode="nearest") * fy
+    u2, v2 = _zoom(u, shape), _zoom(v, shape)
+    u2 *= fx
+    v2 *= fy
     return u2, v2
 
 

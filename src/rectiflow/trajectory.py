@@ -3,11 +3,9 @@
 A per-frame correction flow applied to a jittery video moves rectified
 content around; the residual field r(t+1) measures how far corresponding
 content travels between consecutive corrected frames, and the trajectory
-R(t) accumulates those residuals. Two residual formulations are provided:
-the backward-flow form (used by the pipeline) and the forward-flow form
-(kept for completeness; it needs forward correction fields, which
-forward-splatting would have to produce, so it is exercised only on
-synthetic inputs).
+R(t) accumulates those residuals. Residuals use the backward-flow form:
+the forward inter-frame flow is sampled where each backward correction
+field makes frame t's corrected pixel read.
 """
 
 from __future__ import annotations
@@ -17,7 +15,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractError, DirectionError, ShapeError
-from .field import Direction, FlowField, _bilinear, compose_displaced, make_grid
+from .field import Direction, FlowField, _bilinear, make_grid
+# Re-exported: the benchmark smoke test calls trajectory.compose_displaced.
+from .field import compose_displaced  # noqa: F401
 
 _SUMMARY_MARGIN = 2  # boundary pixels excluded from summaries to avoid clamp bias
 
@@ -110,22 +110,6 @@ def residual_backward(f_t: FlowField, f_t1: FlowField, f_fwd: FlowField) -> np.n
     """
     (residual,) = backward_residuals([f_t, f_t1], [f_fwd])
     return np.stack(residual, axis=-1)
-
-
-def residual_forward(f_t: FlowField, f_t1: FlowField, f_bwd: FlowField) -> np.ndarray:
-    """Forward-flow residual variant.
-
-    r(t+1) = f_bwd(p) + F_t(p + f_bwd(p)) - F_{t+1}(p), with f_bwd the
-    inter-frame flow from t+1 back to t (Forward-tagged, source t+1). The
-    first term is uncomposed by definition of this variant.
-    """
-    _require(f_t, Direction.FORWARD, "F_t")
-    _require(f_t1, Direction.FORWARD, "F_t1")
-    _require(f_bwd, Direction.FORWARD, "f_bwd")
-    if not (f_t.shape == f_t1.shape == f_bwd.shape):
-        raise ShapeError("all fields must share dimensions")
-    moved = compose_displaced(f_t, f_bwd)
-    return np.stack([f_bwd.u + moved.u - f_t1.u, f_bwd.v + moved.v - f_t1.v], axis=-1)
 
 
 def accumulate(residuals) -> TrajectorySeries:

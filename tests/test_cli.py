@@ -333,3 +333,26 @@ annotations = {src / "annotations.txt"}
     assert doc["before"]["provenance"]["mode"] == "ingest"
     assert (out / "adapted" / "000000.flo").is_file()
     assert main(["synth", "--config", str(ing), "--out", str(out)]) == 2
+
+
+def test_importing_rectiflow_loads_no_scipy():
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = ("import sys, rectiflow, rectiflow.cli; "
+            "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))")
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+def test_trajectory_stage_writes_csv_and_spectrum_only(tmp_path):
+    cfg = _write_config(tmp_path)
+    out = tmp_path / "run"
+    assert main(["synth", "--config", str(cfg), "--out", str(out)]) == 0
+    before = {p.name for p in out.iterdir()}
+    assert main(["trajectory", "--config", str(cfg), "--out", str(out)]) == 0
+    assert {p.name for p in out.iterdir()} - before == {"trajectory.csv", "spectrum.csv"}
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert set(manifest) == {"config_sha256", "package", "numpy"}

@@ -1,12 +1,20 @@
 """Tests for variational inter-frame flow and .flo serialization."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
+from scipy import ndimage
 
 from rectiflow import DataError, Direction, FlowField, FormatError, ShapeError
+from rectiflow.config import load_config
 from rectiflow.field import Frame, make_grid, sample_bilinear
 from rectiflow.interflow import (
     HSParams,
+    _gaussian,
+    _pyramid,
+    _upsample_flow,
+    _zoom,
     _level_energy,
     _neighbor_count,
     _solve_level,
@@ -177,6 +185,126 @@ def test_estimate_flow_equals_flow_of_estimate_with_energy():
     assert flow.u.tobytes() == tracked.u.tobytes()
     assert flow.v.tobytes() == tracked.v.tobytes()
     assert energies.size == 8
+
+
+def _ndimage_downsample(img, factor):
+    """The scipy.ndimage pyramid step that `_gaussian` and `_zoom` replaced."""
+    h = max(4, int(round(img.shape[0] * factor)))
+    w = max(4, int(round(img.shape[1] * factor)))
+    smoothed = ndimage.gaussian_filter(img, sigma=1.0, mode="nearest")
+    return ndimage.zoom(smoothed, (h / img.shape[0], w / img.shape[1]), order=1, mode="nearest")
+
+
+def _ndimage_upsample_flow(u, v, shape):
+    fy = shape[0] / u.shape[0]
+    fx = shape[1] / u.shape[1]
+    return (ndimage.zoom(u, (fy, fx), order=1, mode="nearest") * fx,
+            ndimage.zoom(v, (fy, fx), order=1, mode="nearest") * fy)
+
+
+def _same_bits(got, want):
+    return got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def _pipeline_pyramids():
+    """{(frame shape, levels, downscale): HSParams} of every pipeline config.
+
+    sample_config.ini and the benchmark workloads are read as shipped; the
+    benchmark smoke test shrinks its workloads to 32x32, 24x24 and 48x48
+    with two levels, and the CLI tests run 48x48 with two levels. The last
+    three are sizes this module's own tests estimate flow on.
+    """
+    root = Path(__file__).resolve().parent.parent
+    cases = []
+    for path in [root / "sample_config.ini", *sorted((root / "bench" / "workloads").glob("*.ini"))]:
+        cfg = load_config(path, seed=3)
+        cases.append(((cfg.camera.height, cfg.camera.width), cfg.flow))
+    two = HSParams(iterations=5, pyramid_levels=2)
+    cases += [((n, n), two) for n in (32, 24, 48)]
+    cases += [((128, 128), HSParams()), ((64, 64), HSParams()), ((21, 26), two)]
+    return {(shape, p.pyramid_levels, p.downscale): p for shape, p in cases}
+
+
+_PYRAMIDS = _pipeline_pyramids()
+
+
+def _level_pairs():
+    """Consecutive (finer, coarser) level shapes of every pipeline pyramid."""
+    pairs = set()
+    for (shape, _, _), params in _PYRAMIDS.items():
+        levels = _pyramid(np.zeros(shape), params)[::-1]
+        pairs.update((a.shape, b.shape) for a, b in zip(levels, levels[1:]))
+    return sorted(pairs)
+
+
+def _zoom_cases():
+    """(input shape, output shape) pairs: every pipeline level step down and
+    up, then a sweep of odd, non-square and 4-pixel shapes halved, doubled
+    and stretched, plus a few large frames."""
+    cases = set()
+    for fine, coarse in _level_pairs():
+        cases.update([(fine, coarse), (coarse, fine)])
+    sizes = [(h, w) for h in range(4, 41) for w in range(4, 41, 3)]
+    sizes += [(128, 256), (256, 128), (299, 150), (150, 299)]
+    for h, w in sizes:
+        half = (max(4, int(round(h * 0.5))), max(4, int(round(w * 0.5))))
+        cases.update([((h, w), half), ((h, w), (2 * h, 2 * w)), ((h, w), (h + 3, 2 * w - 1))])
+    return sorted(cases)
+
+
+def test_pipeline_pyramids_cover_every_workload_level():
+    pairs = _level_pairs()
+    for step in [((128, 128), (64, 64)), ((64, 64), (32, 32)), ((48, 48), (24, 24)),
+                 ((256, 256), (128, 128)), ((32, 32), (16, 16)), ((24, 24), (12, 12)),
+                 ((21, 26), (10, 13))]:
+        assert step in pairs
+
+
+_GAUSS_SHAPES = [(4, 4), (5, 4), (7, 13), (12, 12), (16, 16), (21, 26), (24, 24),
+                 (32, 32), (48, 48), (64, 64), (128, 128), (256, 256), (300, 7), (7, 300)]
+
+
+@pytest.mark.parametrize("shape", _GAUSS_SHAPES, ids=[f"{h}x{w}" for h, w in _GAUSS_SHAPES])
+def test_gaussian_is_bit_exact_against_ndimage(shape):
+    img = np.random.default_rng(shape[0] * 1000 + shape[1]).uniform(0.0, 255.0, shape)
+    want = ndimage.gaussian_filter(img, 1.0, mode="nearest")
+    assert _same_bits(_gaussian(img), want)
+
+
+def test_zoom_is_bit_exact_against_ndimage_on_shape_sweep():
+    rng = np.random.default_rng(41)
+    mismatched = []
+    for shape_in, shape_out in _zoom_cases():
+        a = rng.normal(0.0, 50.0, shape_in)
+        zoom = (shape_out[0] / shape_in[0], shape_out[1] / shape_in[1])
+        if not _same_bits(_zoom(a, shape_out), ndimage.zoom(a, zoom, order=1, mode="nearest")):
+            mismatched.append((shape_in, shape_out))
+    assert mismatched == []
+
+
+def test_zoom_of_negative_zero_is_positive_zero():
+    a = np.full((6, 9), -0.0)
+    want = ndimage.zoom(a, (2.0, 2.0), order=1, mode="nearest")
+    assert _same_bits(_zoom(a, (12, 18)), want)
+    assert not np.signbit(want).any()
+
+
+@pytest.mark.parametrize("key", sorted(_PYRAMIDS),
+                         ids=[f"{h}x{w}-L{n}-{d}" for (h, w), n, d in sorted(_PYRAMIDS)])
+def test_pyramid_and_flow_upsampling_match_ndimage_reference(key):
+    shape, params = key[0], _PYRAMIDS[key]
+    rng = np.random.default_rng(shape[0] * 1000 + shape[1])
+    img = rng.uniform(0.0, 255.0, shape)
+    levels = _pyramid(img, params)[::-1]
+    want = img
+    for level in levels[1:]:
+        want = _ndimage_downsample(want, params.downscale)
+        assert _same_bits(level, want)
+    for coarse, fine in zip(levels[:0:-1], levels[-2::-1]):
+        u, v = rng.normal(0.0, 2.0, (2,) + coarse.shape)
+        got = _upsample_flow(u, v, fine.shape)
+        ref = _ndimage_upsample_flow(u, v, fine.shape)
+        assert _same_bits(got[0], ref[0]) and _same_bits(got[1], ref[1])
 
 
 def test_estimate_rejects_dimension_mismatch():

@@ -9,7 +9,6 @@ from rectiflow.trajectory import (
     accumulate,
     fit_similarity,
     residual_backward,
-    residual_forward,
     trajectory_csv,
     trajectory_of_sequence,
 )
@@ -71,45 +70,6 @@ def test_residual_backward_direction_contracts():
         residual_backward(fwd, back, fwd)
     with pytest.raises(DirectionError):
         residual_backward(back, back, back)
-
-
-def test_residual_forward_matches_pointwise_oracle():
-    rng = np.random.default_rng(23)
-
-    def smooth(direction):
-        g = make_grid(4, 4)
-        a, b, c, d, e, f = rng.uniform(-0.05, 0.05, 6)
-        return FlowField(u=a * g.x + b * g.y + c, v=d * g.x + e * g.y + f, direction=direction)
-
-    f_t = smooth(Direction.FORWARD)
-    f_t1 = smooth(Direction.FORWARD)
-    f_bwd = smooth(Direction.FORWARD)
-    r = residual_forward(f_t, f_t1, f_bwd)
-
-    def clamp_sample(ch, x, y):
-        x = min(max(x, 0.0), 3.0)
-        y = min(max(y, 0.0), 3.0)
-        x0, y0 = int(np.floor(x)), int(np.floor(y))
-        x1, y1 = min(x0 + 1, 3), min(y0 + 1, 3)
-        a, b = x - x0, y - y0
-        return ((1 - a) * (1 - b) * ch[y0, x0] + a * (1 - b) * ch[y0, x1]
-                + (1 - a) * b * ch[y1, x0] + a * b * ch[y1, x1])
-
-    for i in range(4):
-        for j in range(4):
-            x = j + f_bwd.u[i, j]
-            y = i + f_bwd.v[i, j]
-            ru = f_bwd.u[i, j] + clamp_sample(f_t.u, x, y) - f_t1.u[i, j]
-            rv = f_bwd.v[i, j] + clamp_sample(f_t.v, x, y) - f_t1.v[i, j]
-            assert r[i, j, 0] == pytest.approx(ru, abs=1e-12)
-            assert r[i, j, 1] == pytest.approx(rv, abs=1e-12)
-
-
-def test_residual_forward_trivial_cases():
-    zero = _const(3, 3, 0, 0, Direction.FORWARD)
-    assert np.max(np.abs(residual_forward(zero, zero, zero))) == 0.0
-    f = _const(3, 3, 0.4, 0.1, Direction.FORWARD)
-    assert np.max(np.abs(residual_forward(f, f, zero))) == 0.0
 
 
 def test_accumulate_prefix_sums_and_contract():
