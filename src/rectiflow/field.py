@@ -4,7 +4,9 @@ Typed pixel grids, frames, binary masks, and two-channel displacement
 fields, plus the bilinear resampling kernel, backward warping, and
 flow-at-displaced-coordinates composition everything else is built on.
 Resampling has one border rule: sample positions are clamped into the
-grid, so content beyond the border repeats the nearest edge value.
+grid, so content beyond the border repeats the nearest edge value. The
+kernel gathers the four corners of each clamped cell through one flat
+index into the field padded by one edge row and column.
 
 Conventions: pixel centers sit at integer coordinates, origin top-left,
 x grows rightward, y grows downward. A displacement is (u, v) = (dx, dy).
@@ -194,42 +196,60 @@ def _bilinear(fields, xs, ys, with_grad: bool = False) -> list:
 
     Sample positions are clamped into [0, w-1] x [0, h-1], so a point
     beyond the grid takes the value at the nearest border position. All
-    fields share one set of corner indices and weights, and gather their
-    corners through flat indices. Returns one value array per field or,
-    with_grad, one (value, d/dx, d/dy) triple per field. The derivatives
-    are zero wherever a coordinate was pinned, so they are exact for the
-    sampled values. Inputs are not validated here.
+    fields share one stencil: the clamped cell's weights and one flat
+    index i00 of its top-left corner in the field edge-padded by one row
+    and column, whose pad holds what a clamped x0+1 or y0+1 would read.
+    The corners are the reads at i00, i00+1, i00+w+1 and i00+w+2; every
+    index is in range, so mode="clip" gathers never clip (and are not
+    buffered). Returns one value array per field or, with_grad, one
+    (value, d/dx, d/dy) triple per field. The derivatives are zero
+    wherever a coordinate was pinned, so they are exact for the sampled
+    values. Inputs are not validated here.
     """
     h, w = fields[0].shape
-    xq = np.clip(xs, 0.0, w - 1.0)
-    yq = np.clip(ys, 0.0, h - 1.0)
-    x0 = np.floor(xq)
-    y0 = np.floor(yq)
-    ax = xq - x0
-    ay = yq - y0
-    x0 = x0.astype(np.intp)
-    y0 = y0.astype(np.intp)
-    x1 = np.minimum(x0 + 1, w - 1)
-    y1 = np.minimum(y0 + 1, h - 1)
-    row0 = y0 * w
-    row1 = y1 * w
-    corners = (row0 + x0, row0 + x1, row1 + x0, row1 + x1)
-    bx = 1.0 - ax
+    shape = np.shape(xs)
+    xs = np.reshape(xs, -1)  # 1-D, so 0-d points can be written in place too
+    ys = np.reshape(ys, -1)
+    ax = np.clip(xs, 0.0, w - 1.0)
+    ay = np.clip(ys, 0.0, h - 1.0)
+    x0 = np.floor(ax)
+    i00 = np.floor(ay)
+    ax -= x0
+    ay -= i00
+    i00 *= w + 1
+    i00 += x0
+    i00 = i00.astype(np.intp)
+    bx = np.subtract(1.0, ax, out=x0)
     by = 1.0 - ay
     w00, w10, w01, w11 = bx * by, ax * by, bx * ay, ax * ay
-    if with_grad:
-        inside_x = (xs > 0.0) & (xs < w - 1.0)
-        inside_y = (ys > 0.0) & (ys < h - 1.0)
+    pinned = ((xs <= 0.0) | (xs >= w - 1.0), (ys <= 0.0) | (ys >= h - 1.0)) if with_grad else ()
+    padded = np.empty((h + 1, w + 1))
+    flat = padded.ravel()
+    tmp, *corners = (np.empty_like(ax) for _ in range(4))
     out = []
     for field in fields:
-        flat = field.ravel()
-        f00, f10, f01, f11 = (flat.take(i) for i in corners)
-        val = w00 * f00 + w10 * f10 + w01 * f01 + w11 * f11
+        padded[:h, :w] = field
+        padded[:h, w] = field[:, w - 1]
+        padded[h] = padded[h - 1]
+        f00 = flat.take(i00)
+        f10, f01, f11 = (flat[k:].take(i00, out=c, mode="clip")
+                         for k, c in zip((1, w + 1, w + 2), corners))
+        parts = [f00]
         if with_grad:
-            ddx = np.where(inside_x, by * (f10 - f00) + ay * (f11 - f01), 0.0)
-            ddy = np.where(inside_y, bx * (f01 - f00) + ax * (f11 - f10), 0.0)
-            val = (val, ddx, ddy)
-        out.append(val)
+            # by*(f10 - f00) + ay*(f11 - f01), then bx*(f01 - f00) + ax*(f11 - f10).
+            for a, b, c, d, wa, wc, pin in ((f10, f00, f11, f01, by, ay, pinned[0]),
+                                            (f01, f00, f11, f10, bx, ax, pinned[1])):
+                slope = a - b
+                slope *= wa
+                slope += np.multiply(np.subtract(c, d, out=tmp), wc, out=tmp)
+                np.copyto(slope, 0.0, where=pin)
+                parts.append(slope)
+        f00 *= w00
+        f00 += np.multiply(f10, w10, out=f10)
+        f00 += np.multiply(f01, w01, out=f01)
+        f00 += np.multiply(f11, w11, out=f11)
+        parts = tuple(a.reshape(shape)[()] for a in parts)  # [()]: 0-d back to scalar
+        out.append(parts if with_grad else parts[0])
     return out
 
 
@@ -279,9 +299,7 @@ def warp_backward(image: Frame, flow: FlowField) -> Frame:
     xs = grid.x + flow.u
     ys = grid.y + flow.v
     stack = image.channel_stack()
-    out = np.empty_like(stack)
-    for c in range(stack.shape[2]):
-        out[..., c] = sample_bilinear(stack[..., c], xs, ys)
+    out = np.stack(_bilinear([stack[..., c] for c in range(stack.shape[2])], xs, ys), axis=-1)
     return Frame(values=out if out.shape[2] > 1 else out[..., 0])
 
 

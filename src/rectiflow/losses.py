@@ -123,18 +123,30 @@ def sobel(channel) -> tuple[np.ndarray, np.ndarray]:
 
     Evaluated separably as smoothed central differences, so a constant
     input yields exact zeros (x - x cancels before any summation), not
-    just zeros up to accumulation roundoff.
+    just zeros up to accumulation roundoff. The one-pixel edge pad is
+    built by slicing: the raster, then its first and last rows, then the
+    first and last columns of the result, which carries the corners.
     """
     x = np.asarray(channel, dtype=np.float64)
     if x.ndim != 2:
         raise ShapeError(f"sobel expects a 2-D raster, got shape {x.shape}")
     if not np.all(np.isfinite(x)):
         raise DataError("sobel input must be finite")
-    p = np.pad(x, 1, mode="edge")
+    h, w = x.shape
+    p = np.empty((h + 2, w + 2))
+    p[1:-1, 1:-1] = x
+    p[0, 1:-1] = x[0]
+    p[-1, 1:-1] = x[-1]
+    p[:, 0] = p[:, 1]
+    p[:, -1] = p[:, -2]
     dx = p[:, 2:] - p[:, :-2]
-    gx = dx[:-2, :] + 2.0 * dx[1:-1, :] + dx[2:, :]
+    gx = 2.0 * dx[1:-1, :]
+    gx += dx[:-2, :]
+    gx += dx[2:, :]
     dy = p[2:, :] - p[:-2, :]
-    gy = dy[:, :-2] + 2.0 * dy[:, 1:-1] + dy[:, 2:]
+    gy = 2.0 * dy[:, 1:-1]
+    gy += dy[:, :-2]
+    gy += dy[:, 2:]
     return gx, gy
 
 
@@ -230,6 +242,11 @@ def _check_video_args(f_seq, pseudo_seq, masks, f_fwd_seq):
         )
     if len(f_fwd_seq) != n - 1:
         raise ShapeError(f"{n} frames need {n - 1} inter-frame flows, got {len(f_fwd_seq)}")
+    for f, p, m in zip(f_seq, pseudo_seq, masks):
+        if f.shape != p.shape:
+            raise ShapeError(f"flow shapes differ: {f.shape} vs {p.shape}")
+        if m.values.shape != f.shape:
+            raise ShapeError(f"mask shape {m.values.shape} does not match flow {f.shape}")
     return f_seq, pseudo_seq, masks, f_fwd_seq
 
 
@@ -238,10 +255,11 @@ def _trajectory_pass(f_seq, f_fwd_seq, with_grad: bool):
 
     Each pair's residual advances the running position R(t) by the same
     explicit prefix sum as `accumulate`, and each new position closes one
-    second difference d2 = R(t+1) - 2 R(t) + R(t-1). Returns the norms of
-    all N-2 second differences as an (N-2, H, W) array or, with_grad, the
-    (u, v) unit vectors of the second differences and every pair's
-    sampling slopes (see `backward_residuals`), both in frame order.
+    second difference d2 = R(t+1) - 2 R(t) + R(t-1), formed in place.
+    Returns the norms of all N-2 second differences, written straight
+    into an (N-2, H, W) array or, with_grad, the (u, v) unit vectors of
+    the second differences and every pair's sampling slopes (see
+    `backward_residuals`), both in frame order.
     """
     n = len(f_seq)
     if n < 3:
@@ -251,25 +269,30 @@ def _trajectory_pass(f_seq, f_fwd_seq, with_grad: bool):
     units, slopes = [], []
     zero = np.zeros((h, w))
     before, last = None, (zero, zero)
-    for t, item in enumerate(backward_residuals(f_seq, f_fwd_seq, with_grad)):
+    for t, pos in enumerate(backward_residuals(f_seq, f_fwd_seq, with_grad)):
         if with_grad:
-            item, pair_slopes = item
+            pos, pair_slopes = pos
             slopes.append(pair_slopes)
-        pos = (last[0] + item[0], last[1] + item[1])
+        for r, prev in zip(pos, last):
+            r += prev
         if before is not None:
-            d2u = pos[0] - 2.0 * last[0] + before[0]
-            d2v = pos[1] - 2.0 * last[1] + before[1]
-            norm = np.sqrt(d2u * d2u + d2v * d2v)
+            d2u, d2v = (2.0 * prev for prev in last)
+            for d, p, b in zip((d2u, d2v), pos, before):
+                np.subtract(p, d, out=d)
+                d += b
+            norm = np.multiply(d2u, d2u, out=None if with_grad else norms[t - 1])
+            norm += d2v * d2v
+            np.sqrt(norm, out=norm)
             if with_grad:
                 # Below-roundoff second differences are exactly smooth;
                 # normalizing them would turn prefix-sum float noise into
                 # unit-magnitude gradients.
-                solid = norm > 1e-12
-                denom = np.where(solid, norm, 1.0)
-                units.append((np.where(solid, d2u / denom, 0.0),
-                              np.where(solid, d2v / denom, 0.0)))
-            else:
-                norms[t - 1] = norm
+                flat = norm <= 1e-12
+                np.copyto(norm, 1.0, where=flat)
+                for d in (d2u, d2v):
+                    d /= norm
+                    np.copyto(d, 0.0, where=flat)
+                units.append((d2u, d2v))
         before, last = last, pos
     return (units, slopes) if with_grad else norms
 
@@ -279,12 +302,17 @@ def loss_video(f_seq, pseudo_seq, masks, f_fwd_seq, lw: LossWeights = LossWeight
 
     spatial_t = loss_flow(F_t, P_t) + mu_mask*loss_mask(F_t, P_t, m_t);
     temporal = loss_temporal of the backward-residual trajectory of f_seq
-    under the fixed inter-frame flows.
+    under the fixed inter-frame flows. Both spatial terms share one
+    difference F_t - P_t per channel and round exactly as those functions do.
     """
     f_seq, pseudo_seq, masks, f_fwd_seq = _check_video_args(f_seq, pseudo_seq, masks, f_fwd_seq)
     spatial = 0.0
     for f, p, m in zip(f_seq, pseudo_seq, masks):
-        spatial += loss_flow(f, p) + lw.mu_mask * loss_mask(f, p, m)
+        du, dv = f.u - p.u, f.v - p.v
+        edge_u, edge_v = (np.abs(gx) + np.abs(gy) for gx, gy in (sobel(du), sobel(dv)))
+        mv = m.as_float()
+        edge = float(np.sum(mv * (edge_u + edge_v)) / (np.sum(mv) + _MASK_EPS))
+        spatial += float(np.sum(du * du + dv * dv) / du.size) + lw.mu_mask * edge
     spatial /= len(f_seq)
     temporal = float(np.mean(_trajectory_pass(f_seq, f_fwd_seq, with_grad=False)))
     terms = {"spatial": spatial, "temporal": temporal}
@@ -295,48 +323,47 @@ def loss_video(f_seq, pseudo_seq, masks, f_fwd_seq, lw: LossWeights = LossWeight
 def grad_video(f_seq, pseudo_seq, masks, f_fwd_seq, lw: LossWeights = LossWeights()) -> np.ndarray:
     """Analytic gradient of loss_video w.r.t. every flow coordinate.
 
-    Returns (N, H, W, 2) with d(total)/d(u_t, v_t) per frame. The spatial
-    part is per frame. The temporal part takes one forward pass over the
-    frames, sampling each inter-frame flow once for both channels and its
-    slopes, then one backward pass that forms the suffix sums of
-    d(temporal)/dR(t) and chains them through the residuals and the
-    bilinear sampling at the correction-displaced coordinates (clamped
-    samples contribute zero positional derivative, matching the forward
-    computation exactly).
+    Returns (N, H, W, 2) with d(total)/d(u_t, v_t) per frame. The temporal
+    part takes one forward pass over the frames, sampling each
+    inter-frame flow once for both channels and its slopes. Then one
+    backward pass over the frames sums each frame's gradient in two
+    contiguous (H, W) buffers and writes them into the result once: the
+    spatial part, then the suffix sums of d(temporal)/dR(t) chained
+    through the residuals and the bilinear sampling at the
+    correction-displaced coordinates (clamped samples contribute zero
+    positional derivative, matching the forward computation exactly).
     """
     f_seq, pseudo_seq, masks, f_fwd_seq = _check_video_args(f_seq, pseudo_seq, masks, f_fwd_seq)
     n = len(f_seq)
     h, w = f_seq[0].shape
     hw = h * w
-    grad = np.zeros((n, h, w, 2))
-
-    # Spatial: quadratic endpoint term plus the masked Sobel term's adjoint.
-    for t, (f, p, m) in enumerate(zip(f_seq, pseudo_seq, masks)):
-        grad[t, ..., 0] += (2.0 / (n * hw)) * (f.u - p.u)
-        grad[t, ..., 1] += (2.0 / (n * hw)) * (f.v - p.v)
-        if lw.mu_mask > 0.0:
-            mv = m.as_float()
-            scale = lw.mu_mask / (n * (np.sum(mv) + _MASK_EPS))
-            for ch_idx, (ch, ch_gt) in enumerate(((f.u, p.u), (f.v, p.v))):
-                gx, gy = sobel(ch - ch_gt)
-                back = sobel_adjoint(mv * np.sign(gx), mv * np.sign(gy))
-                grad[t, ..., ch_idx] += scale * back
-
-    if lw.lambda_temporal <= 0.0 or n < 3:
-        return grad
-
-    units, slopes = _trajectory_pass(f_seq, f_fwd_seq, with_grad=True)
-    c = lw.lambda_temporal / ((n - 2) * hw)
-    # Backward over frames. g_pos(t) = d(temporal)/dR(t) spreads the unit
-    # second differences onto their three positions; R(s) sums r(1..s), so
-    # d/dr(t) is the suffix sum g_res(t) = g_res(t+1) + g_pos(t). Since
-    # r(t+1) = f_fwd(p + F_t(p)) + F_t(p) - F_{t+1}(p), frame t receives
-    # -g_res(t), then g_res(t+1) and its chain through pair t's slopes, in
-    # that order, so every sum rounds as in the whole-array formulation.
+    grad = np.empty((n, h, w, 2))
+    temporal = lw.lambda_temporal > 0.0 and n >= 3
+    if temporal:
+        units, slopes = _trajectory_pass(f_seq, f_fwd_seq, with_grad=True)
+        c = lw.lambda_temporal / ((n - 2) * hw)
+    # g_pos(t) = d(temporal)/dR(t) spreads the unit second differences onto
+    # their three positions; R(s) sums r(1..s), so d/dr(t) is the suffix sum
+    # g_res(t) = g_res(t+1) + g_pos(t). Since r(t+1) = f_fwd(p + F_t(p)) +
+    # F_t(p) - F_{t+1}(p), frame t receives its spatial terms, -g_res(t),
+    # then g_res(t+1) and its chain through pair t's slopes, in that order.
     g_next = None
     for t in range(n - 1, -1, -1):
+        f, p = f_seq[t], pseudo_seq[t]
+        mv = masks[t].as_float()
+        scale = lw.mu_mask / (n * (np.sum(mv) + _MASK_EPS))
+        acc = []
+        for ch, ch_gt in ((f.u, p.u), (f.v, p.v)):
+            # Quadratic endpoint term plus the masked Sobel term's adjoint.
+            d = ch - ch_gt
+            g = 0.0 + (2.0 / (n * hw)) * d  # 0.0 + x turns -0.0 into +0.0, as a sum into zeros
+            if lw.mu_mask > 0.0:
+                gx, gy = sobel(d)
+                g += scale * sobel_adjoint(mv * np.sign(gx), mv * np.sign(gy))
+            acc.append(g)
+        gu, gv = acc
         g_res = None
-        if t >= 1:
+        if temporal and t >= 1:
             g_res = []
             for ch in (0, 1):
                 g_pos = np.zeros((h, w))
@@ -347,13 +374,15 @@ def grad_video(f_seq, pseudo_seq, masks, f_fwd_seq, lw: LossWeights = LossWeight
                 if t <= n - 3:
                     g_pos += c * units[t][ch]
                 g_res.append(g_pos if g_next is None else g_next[ch] + g_pos)
-            grad[t, ..., 0] -= g_res[0]
-            grad[t, ..., 1] -= g_res[1]
+            gu -= g_res[0]
+            gv -= g_res[1]
         if g_next is not None:
             (du_dx, du_dy), (dv_dx, dv_dy) = slopes[t]
-            grad[t, ..., 0] += g_next[0]
-            grad[t, ..., 1] += g_next[1]
-            grad[t, ..., 0] += g_next[0] * du_dx + g_next[1] * dv_dx
-            grad[t, ..., 1] += g_next[0] * du_dy + g_next[1] * dv_dy
+            gu += g_next[0]
+            gv += g_next[1]
+            gu += g_next[0] * du_dx + g_next[1] * dv_dx
+            gv += g_next[0] * du_dy + g_next[1] * dv_dy
+        grad[t, ..., 0] = gu
+        grad[t, ..., 1] = gv
         g_next = g_res
     return grad

@@ -92,12 +92,11 @@ def backward_residuals(f_seq, f_fwd_seq, with_slopes: bool = False):
         if grid is None or (grid.height, grid.width) != f_t.shape:
             grid = make_grid(*f_t.shape)
         sampled = _bilinear((f_fwd.u, f_fwd.v), grid.x + f_t.u, grid.y + f_t.v, with_slopes)
-        if with_slopes:
-            (moved_u, du_dx, du_dy), (moved_v, dv_dx, dv_dy) = sampled
-        else:
-            moved_u, moved_v = sampled
-        residual = (moved_u + f_t.u - f_t1.u, moved_v + f_t.v - f_t1.v)
-        yield (residual, ((du_dx, du_dy), (dv_dx, dv_dy))) if with_slopes else residual
+        residual = tuple(s[0] for s in sampled) if with_slopes else tuple(sampled)
+        for moved, ch_t, ch_t1 in zip(residual, (f_t.u, f_t.v), (f_t1.u, f_t1.v)):
+            moved += ch_t
+            moved -= ch_t1
+        yield (residual, tuple(s[1:] for s in sampled)) if with_slopes else residual
 
 
 def residual_backward(f_t: FlowField, f_t1: FlowField, f_fwd: FlowField) -> np.ndarray:

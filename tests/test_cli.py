@@ -160,6 +160,35 @@ def test_bad_adapt_settings_fail_at_load_and_write_nothing(tmp_path, capsys,
     assert not out.exists()
 
 
+def test_low_band_that_scores_every_bin_or_none_fails_at_load(tmp_path, capsys):
+    """A 12-frame synthetic run scores bins 2..6: the default band (2, 6)
+    holds all of them, so stability would read 1.0 whatever the motion."""
+    ini = configparser.ConfigParser(interpolation=None)
+    ini.read_string(_SMALL)
+    ini["pipeline"]["frames"] = "12"
+    ini.remove_section("metrics")
+    text = io.StringIO()
+    ini.write(text)
+    cfg = _write_config(tmp_path, text.getvalue())
+    with pytest.raises(ConfigError, match=r"low_band = 2,6 .* 12-frame run"):
+        load_config(cfg)
+    out = tmp_path / "run"
+    assert main(["pipeline", "--config", str(cfg), "--out", str(out)]) == 2
+    assert "low_band = 2,6" in capsys.readouterr().err
+    assert not out.exists()
+
+    for band, frames, ok in (("2,3", 8, True), ("2,4", 8, False), ("3,4", 8, True),
+                             ("5,6", 8, False), ("3,6", 12, True), ("2,6", 16, True)):
+        text = _with_setting("metrics", "low_band", band).replace("frames = 8",
+                                                                  f"frames = {frames}")
+        path = _write_config(tmp_path, text, "band.ini")
+        if ok:
+            assert load_config(path).low_band == tuple(int(v) for v in band.split(","))
+        else:
+            with pytest.raises(ConfigError, match=f"{frames}-frame run"):
+                load_config(path)
+
+
 def test_main_dispatches_through_module_globals(tmp_path, monkeypatch):
     calls = []
     monkeypatch.setattr(cli, "cmd_metrics", lambda cfg: calls.append(cfg.out))

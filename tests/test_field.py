@@ -18,6 +18,7 @@ from rectiflow import (
     sample_bilinear_with_grad,
     warp_backward,
 )
+from rectiflow.field import _bilinear
 
 
 def bilinear_reference(field, x, y):
@@ -95,6 +96,70 @@ def test_bilinear_rejects_bad_inputs():
             sample(np.zeros((3, 3, 3)), 0.0, 0.0)
         with pytest.raises(DataError):
             sample(np.full((3, 3), np.inf), 0.0, 0.0)
+
+
+def _clamped_bilinear_point(fields, x, y, with_grad):
+    """One point of the clamped bilinear formula in float64 scalar steps:
+    clamp, floor, corner indices x1 = min(x0 + 1, w - 1), weights, then the
+    value ((w00 f00 + w10 f10) + w01 f01) + w11 f11 and slopes zeroed where
+    the coordinate is pinned."""
+    h, w = fields[0].shape
+    xq = np.clip(np.float64(x), 0.0, w - 1.0)
+    yq = np.clip(np.float64(y), 0.0, h - 1.0)
+    x0, y0 = np.floor(xq), np.floor(yq)
+    ax, ay = xq - x0, yq - y0
+    bx, by = 1.0 - ax, 1.0 - ay
+    c0, r0 = int(x0), int(y0)
+    c1, r1 = min(c0 + 1, w - 1), min(r0 + 1, h - 1)
+    out = []
+    for f in fields:
+        f00, f10, f01, f11 = f[r0, c0], f[r0, c1], f[r1, c0], f[r1, c1]
+        val = bx * by * f00 + ax * by * f10 + bx * ay * f01 + ax * ay * f11
+        if with_grad:
+            ddx = by * (f10 - f00) + ay * (f11 - f01) if 0.0 < x < w - 1.0 else np.float64(0.0)
+            ddy = bx * (f01 - f00) + ax * (f11 - f10) if 0.0 < y < h - 1.0 else np.float64(0.0)
+            val = (val, ddx, ddy)
+        out.append(val)
+    return out
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (1, 6), (6, 1), (5, 7), (9, 3)])
+def test_bilinear_kernel_is_bit_exact_against_scalar_clamped_formula(shape):
+    """The padded one-index stencil reads what clamped corner indices read,
+    bit for bit and with signed zeros, for one and for two fields."""
+    h, w = shape
+    rng = np.random.default_rng(h * 100 + w)
+    fields = [rng.normal(size=shape), rng.normal(size=shape)]
+    fields[1][rng.random(shape) < 0.3] = -0.0
+    edges_x = [-0.0, 0.0, w - 1.0, -1.0, -3.5, w - 0.5, w + 2.0, 0.5, w - 1.5, 1e9, -1e9]
+    edges_y = [-0.0, 0.0, h - 1.0, -1.0, -3.5, h - 0.5, h + 2.0, 0.5, h - 1.5, 1e9, -1e9]
+    grid_x, grid_y = np.meshgrid(np.array(edges_x + list(range(w)), dtype=float),
+                                 np.array(edges_y + list(range(h)), dtype=float))
+    xs = np.concatenate([grid_x.ravel(), rng.uniform(-2.0, w + 1.0, 60)])
+    ys = np.concatenate([grid_y.ravel(), rng.uniform(-2.0, h + 1.0, 60)])
+    for count in (1, 2):
+        for with_grad in (False, True):
+            got = _bilinear(fields[:count], xs, ys, with_grad)
+            want = [_clamped_bilinear_point(fields[:count], x, y, with_grad)
+                    for x, y in zip(xs, ys)]
+            for k in range(count):
+                parts = zip(*(got[k] if with_grad else (got[k],)))
+                for i, point in enumerate(parts):
+                    expect = want[i][k] if with_grad else (want[i][k],)
+                    for a, b in zip(point, expect):
+                        assert a == b and np.signbit(a) == np.signbit(b), (xs[i], ys[i])
+
+
+def test_warp_color_is_byte_equal_to_per_channel_sampling():
+    rng = np.random.default_rng(17)
+    img = Frame(values=rng.random((9, 11, 3)))
+    flow = FlowField(u=rng.normal(0.0, 3.0, (9, 11)), v=rng.normal(0.0, 3.0, (9, 11)),
+                     direction=Direction.BACKWARD)
+    g = make_grid(9, 11)
+    want = np.stack([sample_bilinear(img.values[..., c], g.x + flow.u, g.y + flow.v)
+                     for c in range(3)], axis=-1)
+    got = warp_backward(img, flow).values
+    assert got.tobytes() == np.clip(want, 0.0, 1.0).tobytes()
 
 
 def test_gradient_matches_finite_differences():

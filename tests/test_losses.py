@@ -114,6 +114,28 @@ def test_sobel_matches_bruteforce():
     assert np.allclose(gy, sobel_reference(x, SOBEL_Y), atol=1e-12)
 
 
+def _sobel_np_pad(x):
+    """sobel's separable body on an np.pad edge pad."""
+    p = np.pad(x, 1, mode="edge")
+    dx = p[:, 2:] - p[:, :-2]
+    gx = dx[:-2, :] + 2.0 * dx[1:-1, :] + dx[2:, :]
+    dy = p[2:, :] - p[:-2, :]
+    gy = dy[:, :-2] + 2.0 * dy[:, 1:-1] + dy[:, 2:]
+    return gx, gy
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (1, 6), (6, 1), (2, 2), (5, 7), (9, 3), (33, 17)])
+def test_sobel_sliced_pad_is_bit_exact_against_np_pad(shape):
+    rng = np.random.default_rng(shape[0] * 100 + shape[1])
+    for _ in range(3):
+        x = rng.normal(size=shape)
+        x[rng.random(shape) < 0.3] = -0.0
+        x[rng.random(shape) < 0.2] = 0.0
+        for got, want in zip(sobel(x), _sobel_np_pad(x)):
+            assert got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+
+
 def _reference_sobel_adjoint(z, kernel):
     """Adjoint of one 3x3 edge-padded correlation as a 9-tap scatter.
 
@@ -467,10 +489,49 @@ def _affine_instance(n=5, h=6, w=8):
     return f_seq, pseudo, masks, fwd
 
 
+def _line_instance(shape, seed, n=5):
+    """1 x w or h x 1 fields. Some corrections land samples exactly on the
+    last column (x = w-1) or row (y = h-1); the rest are large enough to
+    leave the grid on every side."""
+    rng = np.random.default_rng(seed)
+    h, w = shape
+    g = make_grid(h, w)
+
+    def correction():
+        u = rng.normal(0.0, 3.0, shape)
+        v = rng.normal(0.0, 3.0, shape)
+        on_x = rng.random(shape) < 0.3
+        on_y = rng.random(shape) < 0.3
+        u[on_x] = (w - 1.0) - g.x[on_x]
+        v[on_y] = (h - 1.0) - g.y[on_y]
+        return _flow(u, v)
+
+    f_seq = [correction() for _ in range(n)]
+    pseudo = [correction() for _ in range(n)]
+    masks = [Mask(values=(rng.random(shape) > 0.4).astype(np.uint8)) for _ in range(n)]
+    fwd = [_flow(rng.normal(0.0, 2.0, shape), rng.normal(0.0, 2.0, shape), Direction.FORWARD)
+           for _ in range(n - 1)]
+    return f_seq, pseudo, masks, fwd
+
+
+def _signed_zero_instance(n=4, h=3, w=4):
+    """Corrections of -0.0 against pseudo-labels of +0.0 under constant
+    motion: F - P is -0.0 everywhere and every second difference is
+    exactly zero, so the gradient's signed zeros show the order in which
+    its terms are summed."""
+    f_seq = [_flow(np.full((h, w), -0.0), np.full((h, w), -0.0)) for _ in range(n)]
+    pseudo = [_flow(np.zeros((h, w)), np.zeros((h, w))) for _ in range(n)]
+    masks = [Mask(values=np.ones((h, w), dtype=np.uint8))] * n
+    fwd = [_flow(np.full((h, w), 0.5), np.full((h, w), 0.25), Direction.FORWARD)] * (n - 1)
+    return f_seq, pseudo, masks, fwd
+
+
 _ORACLE_CASES = (
     [("quantized", seed, _quantized_instance(seed, n=4 + seed % 3)) for seed in (21, 22, 23)]
     + [("clamping", seed, _clamping_instance(seed)) for seed in (31, 32, 33)]
     + [("affine", 0, _affine_instance())]
+    + [("row", 41, _line_instance((1, 7), 41)), ("column", 42, _line_instance((6, 1), 42))]
+    + [("signed-zero", 0, _signed_zero_instance())]
 )
 
 
@@ -497,6 +558,18 @@ def test_oracle_cases_reach_the_branches_they_claim():
     xs = make_grid(*f_seq[0].shape).x + f_seq[0].u
     assert np.any(xs < 0.0) and np.any(xs > f_seq[0].shape[1] - 1.0)
     assert 0 < np.sum(masks[0].values) < masks[0].values.size
+
+    for shape, seed in (((1, 7), 41), ((6, 1), 42)):
+        f_seq, _, _, _ = _line_instance(shape, seed)
+        g = make_grid(*shape)
+        for grid, ch, last in ((g.x, "u", shape[1] - 1.0), (g.y, "v", shape[0] - 1.0)):
+            pos = np.stack([grid + getattr(f, ch) for f in f_seq[:-1]])
+            assert np.any(pos == last) and np.any(pos > last) and np.any(pos < 0.0)
+
+    f_seq, pseudo, _, fwd = _signed_zero_instance()
+    assert np.all(np.signbit(f_seq[-1].u - pseudo[-1].u))
+    positions = trajectory_of_sequence(f_seq, fwd).positions
+    assert np.all(positions[2:] - 2.0 * positions[1:-1] + positions[:-2] == 0.0)
 
     f_seq, _, _, fwd = _affine_instance()
     positions = trajectory_of_sequence(f_seq, fwd).positions
