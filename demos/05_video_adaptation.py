@@ -19,23 +19,20 @@ from rectiflow import (
     JitterProfile,
     JitterSpec,
     LossWeights,
-    Mask,
     adapt_sequence,
     apply_jitter,
     correct_sequence,
     default_scene,
-    face_mask,
     loss_flow,
     loss_video,
     render_scene,
     stability_score,
     stereographic_correction_flow,
     trajectory_of_sequence,
-    undistort_points,
 )
 from rectiflow.adapt import adapt_history_csv
 from rectiflow.pnm import write_ppm
-from rectiflow.synth import jitter_signal
+from rectiflow.synth import jitter_signal, jittered_face_masks
 
 OUT = Path("demo_out/adaptation")
 N_FRAMES = 12
@@ -50,24 +47,11 @@ def main():
     jit = JitterSpec(amplitude=1.0, profile=JitterProfile.WHITE_NOISE,
                      seed=8, rotation=True)
     frames, fwd = apply_jitter([observed] * N_FRAMES, jit)
-    dx, dy, th = jitter_signal(jit, N_FRAMES)
     pseudo = [stereographic_correction_flow(cam)] * N_FRAMES
 
-    # Face masks live in rectified coordinates: move each face with the
-    # jitter, then undistort its landmarks.
-    cx, cy = cam.principal_point
-    dims = (cam.height, cam.width)
-    masks = []
-    for t in range(N_FRAMES):
-        union = np.zeros(dims, dtype=np.uint8)
-        for face in ann.faces:
-            c, s = np.cos(th[t]), np.sin(th[t])
-            rel = face.landmarks_image - (cx, cy)
-            moved = np.stack([c * rel[:, 0] - s * rel[:, 1],
-                              s * rel[:, 0] + c * rel[:, 1]], axis=1)
-            moved += (cx + dx[t], cy + dy[t])
-            union = np.maximum(union, face_mask(undistort_points(moved, cam), dims).values)
-        masks.append(Mask(values=union))
+    # Face masks live in rectified coordinates: each face moves with the
+    # jitter, then its landmarks are undistorted.
+    masks = jittered_face_masks(ann.faces, cam, *jitter_signal(jit, N_FRAMES))
 
     params = AdaptParams(lambda_temporal=10.0, mu_mask=0.1, step_size=0.25,
                          max_iters=80, tol=1e-9)

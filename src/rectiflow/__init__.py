@@ -59,7 +59,6 @@ from .losses import (
 )
 from .metrics import (
     LineSample,
-    MetricReport,
     StabilityReport,
     line_acc,
     shape_acc,
@@ -107,7 +106,6 @@ __all__ = [
     "LineSample",
     "LossWeights",
     "Mask",
-    "MetricReport",
     "RectiflowError",
     "Schedule",
     "SceneSpec",

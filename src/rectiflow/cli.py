@@ -10,6 +10,7 @@ codes: 0 success, 2 config error, 3 data error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import sys
@@ -25,26 +26,24 @@ from .errors import ConfigError, DataError, RectiflowError
 from .field import Direction, FlowField, Mask, pull_points_through_flow, warp_backward
 from .interflow import estimate_flow, read_flo, write_flo
 from .metrics import (
+    MIN_STABILITY_FRAMES,
     LineSample,
+    check_low_band,
     line_acc,
-    report,
-    report_text,
     shape_acc,
     spectrum_csv,
     stability_score,
 )
 from .pnm import mask_to_pgm, pgm_to_mask, read_ppm, write_ppm
 from .synth import (
-    _rigid_apply,
     annotations_from_text,
     annotations_to_text,
     apply_jitter,
     default_scene,
-    face_mask,
     jitter_signal,
+    jittered_face_masks,
     render_scene,
     stereographic_correction_flow,
-    undistort_points,
 )
 from .trajectory import trajectory_csv, trajectory_of_sequence
 
@@ -196,21 +195,10 @@ def cmd_synth(cfg: PipelineConfig):
     for t in range(n):
         (pseudo_dir / f"{t:06d}.flo").write_bytes(pseudo_blob)
 
-    # Masks live in rectified space: undistort each face's jittered
-    # observed-space landmarks (exact, since undistortion is total).
     masks_dir = root / "masks"
     masks_dir.mkdir(exist_ok=True)
-    cx, cy = (cam.width - 1) / 2.0, (cam.height - 1) / 2.0
-    dims = (cam.height, cam.width)
-    for t in range(n):
-        union = np.zeros(dims, dtype=np.uint8)
-        for face in ann.faces:
-            pts = face.landmarks_image
-            moved = np.stack(_rigid_apply(pts[:, 0], pts[:, 1], dx[t], dy[t], th[t], cx, cy),
-                             axis=1)
-            rectified = undistort_points(moved, cam)
-            union = np.maximum(union, face_mask(rectified, dims).values)
-        (masks_dir / f"{t:06d}.pgm").write_bytes(mask_to_pgm(Mask(values=union)))
+    for t, mask in enumerate(jittered_face_masks(ann.faces, cam, dx, dy, th)):
+        (masks_dir / f"{t:06d}.pgm").write_bytes(mask_to_pgm(mask))
 
 
 def cmd_flow(cfg: PipelineConfig):
@@ -260,7 +248,7 @@ def cmd_trajectory(cfg: PipelineConfig):
     root = _out_root(cfg)
     series = trajectory_of_sequence(pseudo, fwd)
     (root / "trajectory.csv").write_text(trajectory_csv(series))
-    if series.n_frames >= 8:
+    if series.n_frames >= MIN_STABILITY_FRAMES:
         (root / "spectrum.csv").write_text(spectrum_csv(series))
 
 
@@ -311,10 +299,11 @@ def _annotation_scores(cfg: PipelineConfig, root: Path, pseudo0: FlowField):
 
 def _metric_documents(cfg: PipelineConfig, root: Path) -> dict:
     pseudo = _pseudo_flows(cfg)
+    check_low_band(cfg.low_band, len(pseudo))
     fwd = _forward_flows(cfg, root)
     line_b, line_a, shape_b, shape_a = _annotation_scores(cfg, root, pseudo[0])
     stab_before = stab_after = None
-    if len(pseudo) >= 8:
+    if len(pseudo) >= MIN_STABILITY_FRAMES:
         stab_before = stability_score(trajectory_of_sequence(pseudo, fwd), cfg.low_band)
         adapted_dir = root / "adapted"
         if adapted_dir.is_dir() and any(adapted_dir.glob("*.flo")):
@@ -327,14 +316,13 @@ def _metric_documents(cfg: PipelineConfig, root: Path) -> dict:
         "frames": str(len(pseudo)),
         "config_sha256": _config_digest(cfg),
     }
-    before = report(line_score=line_b, shape_score=shape_b, stability=stab_before,
-                    provenance=provenance)
-    after = report(line_score=line_a, shape_score=shape_a, stability=stab_after,
-                   provenance=provenance)
-    return {
-        "before": json.loads(report_text(before)),
-        "after": json.loads(report_text(after)),
-    }
+
+    def record(line, shape, stability):
+        return {"line_acc": line, "shape_acc": shape, "provenance": provenance,
+                "stability": None if stability is None else dataclasses.asdict(stability)}
+
+    return {"before": record(line_b, shape_b, stab_before),
+            "after": record(line_a, shape_a, stab_after)}
 
 
 def cmd_metrics(cfg: PipelineConfig) -> dict:
@@ -371,7 +359,8 @@ def cmd_pipeline(cfg: PipelineConfig):
         # cmd_flow writes --out, so the inputs of the later stages are
         # checked before it runs.
         _frames_dir(cfg)
-        _require_dir(*_pseudo_dir(cfg))
+        pseudo_dir = _require_dir(*_pseudo_dir(cfg))
+        check_low_band(cfg.low_band, len(list(pseudo_dir.glob("*.flo"))))
     cmd_flow(cfg)
     cmd_correct(cfg)
     cmd_trajectory(cfg)

@@ -201,15 +201,8 @@ def load_config(path, seed: int | None = None, out: str | None = None,
         raise ConfigError(
             f"[metrics] low_band must be two comma-separated integers, got {band_text!r}"
         ) from None
-    check_low_band((lo, hi))
-    # A synthetic run of >= 8 frames scores stability over bins 2..frames//2;
-    # a band holding all of them or none scores the same whatever the motion.
-    half = frames // 2
-    if mode == "synthetic" and frames >= 8 and (lo > half or (lo == 2 and hi >= half)):
-        raise ConfigError(
-            f"[metrics] low_band = {lo},{hi} must hold some but not all of the scored "
-            f"bins 2..{half} of a {frames}-frame run"
-        )
+    # An ingest run's frame count is known only once its inputs are listed.
+    check_low_band((lo, hi), frames if mode == "synthetic" else None)
 
     scene = sect("scene")
     ingest = sect("ingest")

@@ -79,11 +79,6 @@ class LossReport:
         if abs(check - self.total) > 1e-12 * max(1.0, abs(check)):
             raise DataError(f"total {self.total} does not equal weighted sum {check}")
 
-    def to_text(self) -> str:
-        rows = [f"{k} {self.terms[k]!r} weight {self.weights[k]!r}" for k in sorted(self.terms)]
-        rows.append(f"total {self.total!r}")
-        return "\n".join(rows) + "\n"
-
 
 def _report(terms: dict, weights: dict) -> LossReport:
     total = sum(weights[k] * terms[k] for k in sorted(terms))

@@ -10,7 +10,6 @@ and 0..1 for stability.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,6 +18,9 @@ from .errors import ConfigError, DataError, ShapeError
 from .trajectory import TrajectorySeries, fit_similarity
 
 DEFAULT_LOW_BAND = (2, 6)
+
+# Stability is scored only on runs of at least this many frames.
+MIN_STABILITY_FRAMES = 8
 
 # Below this band energy a series is declared perfectly stable.
 _STABLE_FLOOR = 1e-12
@@ -117,10 +119,14 @@ def stability_series(series: TrajectorySeries) -> tuple[np.ndarray, np.ndarray]:
     return trans, rot
 
 
-def _band_score(values: np.ndarray, low_band: tuple[int, int]) -> float:
-    n = values.shape[0]
-    energy = np.abs(np.fft.rfft(values)) ** 2
-    half = n // 2
+def _spectra(series: TrajectorySeries) -> tuple[np.ndarray, np.ndarray]:
+    """Per-bin spectral energy of the translation and rotation series."""
+    trans, rot = stability_series(series)
+    return np.abs(np.fft.rfft(trans)) ** 2, np.abs(np.fft.rfft(rot)) ** 2
+
+
+def _band_score(energy: np.ndarray, low_band: tuple[int, int]) -> float:
+    half = energy.shape[0] - 1
     total = float(np.sum(energy[2:half + 1]))
     if total < _STABLE_FLOOR:
         return 1.0
@@ -129,11 +135,24 @@ def _band_score(values: np.ndarray, low_band: tuple[int, int]) -> float:
     return min(low / total, 1.0)
 
 
-def check_low_band(low_band: tuple[int, int]) -> None:
-    """Reject a band that reaches below bin 2 or is empty."""
+def check_low_band(low_band: tuple[int, int], n_frames: int | None = None) -> None:
+    """Reject a band that reaches below bin 2 or is empty.
+
+    Given the frame count of a run, also reject a band that holds all of
+    its scored bins 2..n_frames//2 or none of them: such a band scores the
+    same whatever the motion. Runs too short to score stability pass.
+    """
     lo, hi = low_band
     if lo < 2 or hi < lo:
         raise ConfigError(f"low_band must satisfy 2 <= lo <= hi, got {low_band}")
+    if n_frames is None or n_frames < MIN_STABILITY_FRAMES:
+        return
+    half = n_frames // 2
+    if lo > half or (lo == 2 and hi >= half):
+        raise ConfigError(
+            f"[metrics] low_band = {lo},{hi} must hold some but not all of the scored "
+            f"bins 2..{half} of a {n_frames}-frame run"
+        )
 
 
 def stability_score(series: TrajectorySeries,
@@ -147,57 +166,19 @@ def stability_score(series: TrajectorySeries,
     """
     check_low_band(low_band)
     n = series.positions.shape[0]
-    if n < 8:
-        raise ShapeError(f"stability needs >= 8 frames, got {n}")
-    trans, rot = stability_series(series)
-    t_score = _band_score(trans, low_band)
-    r_score = _band_score(rot, low_band)
+    if n < MIN_STABILITY_FRAMES:
+        raise ShapeError(f"stability needs >= {MIN_STABILITY_FRAMES} frames, got {n}")
+    et, er = _spectra(series)
+    t_score = _band_score(et, low_band)
+    r_score = _band_score(er, low_band)
     return StabilityReport(avg=0.5 * (t_score + r_score),
                            translational=t_score, rotational=r_score)
 
 
 def spectrum_csv(series: TrajectorySeries) -> str:
     """Per-bin spectral energy of both stability series, for plotting."""
-    trans, rot = stability_series(series)
-    et = np.abs(np.fft.rfft(trans)) ** 2
-    er = np.abs(np.fft.rfft(rot)) ** 2
+    et, er = _spectra(series)
     lines = ["bin,translational,rotational"]
     for k in range(et.shape[0]):
         lines.append(f"{k},{float(et[k])!r},{float(er[k])!r}")
     return "\n".join(lines) + "\n"
-
-
-@dataclass(frozen=True)
-class MetricReport:
-    """Aggregated evaluation record; absent metrics stay None."""
-
-    line_score: float | None
-    shape_score: float | None
-    stability: StabilityReport | None
-    provenance: tuple[tuple[str, str], ...]
-
-
-def report(line_score: float | None = None, shape_score: float | None = None,
-           stability: StabilityReport | None = None,
-           provenance: dict[str, str] | None = None) -> MetricReport:
-    items = tuple(sorted((provenance or {}).items()))
-    return MetricReport(line_score=line_score, shape_score=shape_score,
-                        stability=stability, provenance=items)
-
-
-def report_text(rep: MetricReport) -> str:
-    """JSON-shaped serialization of a metric report."""
-    stability = None
-    if rep.stability is not None:
-        stability = {
-            "avg": rep.stability.avg,
-            "translational": rep.stability.translational,
-            "rotational": rep.stability.rotational,
-        }
-    doc = {
-        "line_acc": rep.line_score,
-        "shape_acc": rep.shape_score,
-        "stability": stability,
-        "provenance": dict(rep.provenance),
-    }
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"

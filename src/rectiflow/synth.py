@@ -483,6 +483,28 @@ def face_mask(landmarks, dims: tuple[int, int]) -> Mask:
     return Mask(values=inside.astype(np.uint8))
 
 
+def jittered_face_masks(faces, cam: CameraSpec, dx, dy, theta) -> list[Mask]:
+    """Per-frame union of the face masks, in rectified space.
+
+    Frame t moves each face's observed-space landmarks by the rigid motion
+    that apply_jitter gives the frame (dx[t], dy[t], theta[t] about the
+    image center), then undistorts them (exact, since undistortion is
+    total). One mask per entry of dx.
+    """
+    cx, cy = (cam.width - 1) / 2.0, (cam.height - 1) / 2.0
+    dims = (cam.height, cam.width)
+    masks = []
+    for t in range(len(dx)):
+        union = np.zeros(dims, dtype=np.uint8)
+        for face in faces:
+            pts = face.landmarks_image
+            moved = np.stack(_rigid_apply(pts[:, 0], pts[:, 1], dx[t], dy[t], theta[t], cx, cy),
+                             axis=1)
+            union = np.maximum(union, face_mask(undistort_points(moved, cam), dims).values)
+        masks.append(Mask(values=union))
+    return masks
+
+
 # --- annotation serialization ----------------------------------------------
 
 

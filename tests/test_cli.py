@@ -14,8 +14,13 @@ import pytest
 from rectiflow import ConfigError, Frame, cli
 from rectiflow.cli import main
 from rectiflow.config import load_config
-from rectiflow.pnm import write_ppm
-from rectiflow.synth import JitterProfile
+from rectiflow.pnm import mask_to_pgm, write_ppm
+from rectiflow.synth import (
+    JitterProfile,
+    annotations_from_text,
+    jitter_signal,
+    jittered_face_masks,
+)
 
 _SMALL = """
 [pipeline]
@@ -187,6 +192,49 @@ def test_low_band_that_scores_every_bin_or_none_fails_at_load(tmp_path, capsys):
         else:
             with pytest.raises(ConfigError, match=f"{frames}-frame run"):
                 load_config(path)
+
+
+def test_ingest_low_band_that_scores_every_bin_fails_before_writing(tmp_path, capsys):
+    """An 8-frame ingest run scores bins 2..4: the default band (2, 6) holds
+    all of them, so stability would read 1.0 whatever the motion."""
+    src = tmp_path / "src"
+    assert main(["synth", "--config", str(_write_config(tmp_path)), "--out", str(src)]) == 0
+    text = "[pipeline]\nmode = ingest\nseed = 5\n[ingest]\n" + "".join(
+        f"{key} = {src / sub}\n" for key, sub in (("frames_dir", "frames"),
+                                                  ("flows_dir", "flows_gt"),
+                                                  ("pseudo_dir", "pseudo")))
+    cfg = _write_config(tmp_path, text, "ingest.ini")
+    assert load_config(cfg).low_band == (2, 6)
+    for command in ("metrics", "pipeline"):
+        out = tmp_path / command
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+        assert "low_band = 2,6 must hold some but not all of the scored bins 2..4 " \
+               "of a 8-frame run" in capsys.readouterr().err
+        assert not out.exists()
+
+
+def test_run_too_short_for_stability_reports_none(tmp_path):
+    cfg = _write_config(tmp_path, _SMALL.replace("frames = 8", "frames = 6"))
+    out = tmp_path / "run"
+    assert main(["pipeline", "--config", str(cfg), "--out", str(out)]) == 0
+    doc = json.loads((out / "metrics.json").read_text())
+    assert doc["before"]["stability"] is None and doc["after"]["stability"] is None
+    assert doc["before"]["line_acc"] is not None
+    summary = (out / "summary.txt").read_text().splitlines()
+    assert "stability_before=none" in summary and "stability_after=none" in summary
+    assert not (out / "spectrum.csv").exists()
+
+
+def test_synth_masks_are_the_jittered_face_masks(tmp_path):
+    path = _write_config(tmp_path)
+    out = tmp_path / "run"
+    assert main(["synth", "--config", str(path), "--out", str(out)]) == 0
+    cfg = load_config(path)
+    ann = annotations_from_text((out / "annotations.txt").read_text())
+    masks = jittered_face_masks(ann.faces, cfg.camera, *jitter_signal(cfg.jitter, cfg.frames))
+    written = sorted((out / "masks").glob("*.pgm"))
+    assert len(written) == len(masks) == cfg.frames
+    assert [f.read_bytes() for f in written] == [mask_to_pgm(m) for m in masks]
 
 
 def test_main_dispatches_through_module_globals(tmp_path, monkeypatch):

@@ -1,16 +1,22 @@
-"""Every name a demo imports from rectiflow exists.
+"""Every name a demo imports from rectiflow exists, and demo 05 runs.
 
-The demos are parsed, not run, so this stays fast; it catches a demo left
-behind by a renamed or removed public name.
+Most demos are parsed, not run, so this stays fast; it catches a demo left
+behind by a renamed or removed public name. Demo 05 (about 5 s) also runs
+end to end, since it builds its face masks through the same function as
+`rectiflow synth`.
 """
 
 import ast
 import importlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-DEMOS = sorted((Path(__file__).resolve().parent.parent / "demos").glob("*.py"))
+REPO = Path(__file__).resolve().parent.parent
+DEMOS = sorted((REPO / "demos").glob("*.py"))
 
 
 def _rectiflow_imports(path: Path):
@@ -41,3 +47,13 @@ def test_demo_imports_resolve(path):
         if name is not None and name != "*" and not hasattr(mod, name):
             missing.append(f"{module}.{name}")
     assert not missing, f"{path.name} imports names that do not exist: {missing}"
+
+
+def test_video_adaptation_demo_runs(tmp_path):
+    src = str(REPO / "src")
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, str(REPO / "demos" / "05_video_adaptation.py")],
+                          cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "demo_out" / "adaptation" / "loss_history.csv").is_file()

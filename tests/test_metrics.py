@@ -1,6 +1,5 @@
 """Tests for line straightness, shape fidelity, and stability metrics."""
 
-import json
 import math
 
 import numpy as np
@@ -9,11 +8,8 @@ import pytest
 from rectiflow import ConfigError, DataError, ShapeError
 from rectiflow.metrics import (
     LineSample,
-    MetricReport,
     StabilityReport,
     line_acc,
-    report,
-    report_text,
     shape_acc,
     spectrum_csv,
     stability_score,
@@ -230,21 +226,9 @@ def test_correction_strictly_improves_line_and_shape_scores():
     assert shape_acc(ref, undistort_points(observed, cam)) > shape_acc(ref, observed)
 
 
-def test_report_serialization_and_spectrum_csv():
+def test_spectrum_csv():
     series = _series_from_translations(
         0.5 * (1.0 - np.cos(2.0 * np.pi * 2.0 * np.arange(16) / 16.0)))
-    rep = stability_score(series)
-    full = report(line_score=98.5, shape_score=99.25, stability=rep,
-                  provenance={"source": "synthetic", "frames": "16"})
-    assert isinstance(full, MetricReport)
-    doc = json.loads(report_text(full))
-    assert doc["line_acc"] == 98.5
-    assert doc["shape_acc"] == 99.25
-    assert doc["stability"]["avg"] == rep.avg
-    assert doc["provenance"]["source"] == "synthetic"
-    empty = json.loads(report_text(report()))
-    assert empty["line_acc"] is None and empty["stability"] is None
-
     text = spectrum_csv(series)
     lines = text.strip().split("\n")
     assert lines[0] == "bin,translational,rotational"

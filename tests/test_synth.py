@@ -17,6 +17,7 @@ from rectiflow.synth import (
     distort_points,
     face_mask,
     jitter_signal,
+    jittered_face_masks,
     render_scene,
     stereographic_correction_flow,
     undistort_points,
@@ -272,6 +273,21 @@ def test_face_mask_degenerate_falls_back_to_rectangle():
     assert mask.values[18, 20] == 0  # thin in y
     with pytest.raises(DataError):
         face_mask([(0.0, 0.0), (1.0, 1.0)], (8, 8))
+
+
+def test_jittered_face_masks_without_jitter_are_the_rectified_face_union():
+    cam = CameraSpec(width=64, height=48, focal_px=50.0)
+    _, ann = render_scene(default_scene(cam, n_lines=2, n_faces=2, seed=4), cam, distorted=True)
+    dims = (cam.height, cam.width)
+    union = np.zeros(dims, dtype=np.uint8)
+    for face in ann.faces:
+        union = np.maximum(union, face_mask(undistort_points(face.landmarks_image, cam),
+                                            dims).values)
+    assert len(ann.faces) == 2 and union.sum() > 0
+    masks = jittered_face_masks(ann.faces, cam, *jitter_signal(JitterSpec(amplitude=0.0), 3))
+    assert len(masks) == 3
+    for mask in masks:
+        assert np.array_equal(mask.values, union)
 
 
 def test_annotation_text_round_trip():
