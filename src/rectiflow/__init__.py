@@ -48,7 +48,6 @@ from .field import (
 from .interflow import HSParams, estimate_flow, read_flo, reverse_pair, write_flo
 from .losses import (
     LossWeights,
-    WeightMap,
     grad_video,
     loss_flow,
     loss_image,
@@ -112,7 +111,6 @@ __all__ = [
     "ShapeError",
     "StabilityReport",
     "TrajectorySeries",
-    "WeightMap",
     "accumulate",
     "adapt_sequence",
     "apply_jitter",

@@ -19,6 +19,7 @@ from .losses import LossWeights, grad_video, loss_video
 
 # Below this trial step the search has stalled in float terms; stop cleanly.
 _STEP_FLOOR = 1e-12
+_BACKTRACK = 0.5
 
 
 @dataclass(frozen=True)
@@ -30,21 +31,16 @@ class AdaptParams:
     step_size: float = 0.25
     max_iters: int = 100
     tol: float = 1e-6
-    backtrack_factor: float = 0.5
 
     def __post_init__(self):
-        if self.lambda_temporal < 0.0 or self.mu_mask < 0.0:
-            raise DataError("loss weights must be non-negative")
+        # The loss weights obey the one LossWeights rule: finite and >= 0.
+        LossWeights(lambda_temporal=self.lambda_temporal, mu_mask=self.mu_mask)
         if not (np.isfinite(self.step_size) and self.step_size > 0.0):
             raise DataError(f"step_size must be finite and positive, got {self.step_size}")
         if self.max_iters < 1:
             raise DataError(f"max_iters must be >= 1, got {self.max_iters}")
         if not (np.isfinite(self.tol) and self.tol >= 0.0):
             raise DataError(f"tol must be finite and >= 0, got {self.tol}")
-        if not 0.0 < self.backtrack_factor < 1.0:
-            raise DataError(
-                f"backtrack_factor must lie in (0, 1), got {self.backtrack_factor}"
-            )
 
 
 @dataclass(frozen=True)
@@ -122,7 +118,7 @@ def adapt_sequence(
             if cand_report.total < report.total:
                 accepted = (candidate, cand_report)
                 break
-            step *= params.backtrack_factor
+            step *= _BACKTRACK
         if accepted is None:
             break
         previous_total = report.total

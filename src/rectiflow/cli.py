@@ -163,8 +163,7 @@ def cmd_synth(cfg: PipelineConfig):
         raise ConfigError("the synth stage requires [pipeline] mode = synthetic")
     root = _out_root(cfg)
     cam = cfg.camera
-    scene = default_scene(cam, n_lines=cfg.n_lines, n_faces=cfg.n_faces,
-                          seed=cfg.scene_seed)
+    scene = default_scene(cam, n_lines=cfg.n_lines, n_faces=cfg.n_faces, seed=cfg.seed)
     ideal, _ = render_scene(scene, cam, distorted=False)
     observed, ann = render_scene(scene, cam, distorted=True)
     (root / "ideal.ppm").write_bytes(write_ppm(ideal))
@@ -245,8 +244,8 @@ def cmd_trajectory(cfg: PipelineConfig):
     """Derive the correction trajectory; emit its CSV and spectrum."""
     pseudo = _pseudo_flows(cfg)
     fwd = _forward_flows(cfg, _run_dir(cfg))
-    root = _out_root(cfg)
     series = trajectory_of_sequence(pseudo, fwd)
+    root = _out_root(cfg)
     (root / "trajectory.csv").write_text(trajectory_csv(series))
     if series.n_frames >= MIN_STABILITY_FRAMES:
         (root / "spectrum.csv").write_text(spectrum_csv(series))
@@ -261,8 +260,8 @@ def cmd_adapt(cfg: PipelineConfig):
     masks = _masks(cfg, _run_dir(cfg), len(pseudo), pseudo[0].shape)
     if len(masks) != len(pseudo):
         raise DataError(f"{len(pseudo)} flows but {len(masks)} masks")
-    root = _out_root(cfg)
     adapted, history = adapt_sequence(pseudo, masks, fwd, cfg.adapt)
+    root = _out_root(cfg)
     out_dir = root / "adapted"
     out_dir.mkdir(exist_ok=True)
     for t, f in enumerate(adapted):

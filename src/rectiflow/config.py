@@ -16,16 +16,16 @@ from .errors import ConfigError, DataError, ShapeError
 from .synth import CameraSpec, JitterProfile, JitterSpec
 from .interflow import HSParams
 from .adapt import AdaptParams
-from .metrics import check_low_band
+from .metrics import DEFAULT_LOW_BAND, check_low_band
 
 _SCHEMA = {
     "pipeline": {"mode", "seed", "frames", "out", "adaptation"},
-    "camera": {"width", "height", "focal_px", "principal_x", "principal_y"},
-    "scene": {"n_lines", "n_faces", "seed"},
-    "jitter": {"amplitude", "profile", "period_frames", "rotation", "seed"},
+    "camera": {"width", "height", "focal_px"},
+    "scene": {"n_lines", "n_faces"},
+    "jitter": {"amplitude", "profile", "period_frames", "rotation"},
     "flow": {"alpha", "iterations", "pyramid_levels", "downscale"},
     "losses": {"lambda_temporal", "mu_mask"},
-    "adapt": {"step_size", "max_iters", "tol", "backtrack_factor"},
+    "adapt": {"step_size", "max_iters", "tol"},
     "metrics": {"low_band"},
     "ingest": {"frames_dir", "masks_dir", "flows_dir", "pseudo_dir", "annotations"},
 }
@@ -50,7 +50,6 @@ class PipelineConfig:
     camera: CameraSpec
     n_lines: int
     n_faces: int
-    scene_seed: int
     jitter: JitterSpec
     flow: HSParams
     adapt: AdaptParams | None
@@ -150,14 +149,9 @@ def load_config(path, seed: int | None = None, out: str | None = None,
         raise ConfigError(f"threads must be >= 1, got {threads}")
 
     cam = sect("camera")
-    px = cam.get_float("principal_x")
-    py = cam.get_float("principal_y")
-    if (px is None) != (py is None):
-        raise ConfigError("[camera] principal_x and principal_y must be set together")
     camera = _build("[camera]", CameraSpec,
                     width=cam.get_int("width", 128), height=cam.get_int("height", 128),
-                    focal_px=cam.get_float("focal_px", 60.0),
-                    principal_point=None if px is None else (px, py))
+                    focal_px=cam.get_float("focal_px", 60.0))
 
     jit = sect("jitter")
     profile = jit.get_str("profile", "white_noise")
@@ -168,7 +162,7 @@ def load_config(path, seed: int | None = None, out: str | None = None,
     jitter = _build("[jitter]", JitterSpec,
                     amplitude=jit.get_float("amplitude", 1.0), profile=_PROFILES[profile],
                     period_frames=jit.get_int("period_frames", 8),
-                    seed=jit.get_int("seed", seed + 1),
+                    seed=seed + 1,
                     rotation=jit.get_bool("rotation", True))
 
     flow = sect("flow")
@@ -186,7 +180,6 @@ def load_config(path, seed: int | None = None, out: str | None = None,
         step_size=opt.get_float("step_size", 0.25),
         max_iters=opt.get_int("max_iters", 100),
         tol=opt.get_float("tol", 1e-6),
-        backtrack_factor=opt.get_float("backtrack_factor", 0.5),
     )
     adapt = None
     if pipe.get_bool("adaptation", True):
@@ -194,7 +187,7 @@ def load_config(path, seed: int | None = None, out: str | None = None,
         if mode == "synthetic" and frames < 3:
             raise ConfigError(f"[pipeline] frames must be >= 3 with adaptation, got {frames}")
 
-    band_text = sect("metrics").get_str("low_band", "2,6")
+    band_text = sect("metrics").get_str("low_band", "%d,%d" % DEFAULT_LOW_BAND)
     try:
         lo, hi = (int(v) for v in band_text.split(","))
     except ValueError:
@@ -215,7 +208,6 @@ def load_config(path, seed: int | None = None, out: str | None = None,
         camera=camera,
         n_lines=scene.get_int("n_lines", 6),
         n_faces=scene.get_int("n_faces", 2),
-        scene_seed=scene.get_int("seed", seed),
         jitter=jitter,
         flow=hs,
         adapt=adapt,

@@ -22,6 +22,8 @@ import numpy as np
 
 from .errors import DataError, DirectionError, ShapeError
 
+_PULL_ITERATIONS = 40
+
 
 class Direction(Enum):
     """Which way a flow field points.
@@ -108,13 +110,6 @@ class FlowField:
     def uv(self) -> np.ndarray:
         """Stacked (H, W, 2) copy of the field, channel order (u, v)."""
         return np.stack([self.u, self.v], axis=-1)
-
-    @classmethod
-    def from_uv(cls, uv, direction: Direction) -> "FlowField":
-        uv = np.asarray(uv, dtype=np.float64)
-        if uv.ndim != 3 or uv.shape[2] != 2:
-            raise ShapeError(f"expected (H, W, 2) array, got {uv.shape}")
-        return cls(u=uv[..., 0], v=uv[..., 1], direction=direction)
 
     @classmethod
     def zeros(cls, height: int, width: int, direction: Direction) -> "FlowField":
@@ -331,11 +326,12 @@ def compose_displaced(field: FlowField, disp) -> FlowField:
     )
 
 
-def pull_points_through_flow(flow: FlowField, points, iterations: int = 40) -> np.ndarray:
+def pull_points_through_flow(flow: FlowField, points) -> np.ndarray:
     """Map source-image points to output coordinates under a backward flow.
 
     Solves p + flow(p) = q for p given each query q by fixed-point
-    iteration p <- q - flow(p), starting at p = q. Points are (N, 2) as
+    iteration p <- q - flow(p), starting at p = q, for _PULL_ITERATIONS
+    rounds. Points are (N, 2) as
     (x, y). This is how annotation geometry follows a warp_backward call.
     """
     if flow.direction is not Direction.BACKWARD:
@@ -343,7 +339,7 @@ def pull_points_through_flow(flow: FlowField, points, iterations: int = 40) -> n
     q = np.asarray(points, dtype=np.float64).reshape(-1, 2)
     px = q[:, 0].copy()
     py = q[:, 1].copy()
-    for _ in range(iterations):
+    for _ in range(_PULL_ITERATIONS):
         px = q[:, 0] - sample_bilinear(flow.u, px, py)
         py = q[:, 1] - sample_bilinear(flow.v, px, py)
     return np.stack([px, py], axis=1)

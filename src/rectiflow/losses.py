@@ -26,27 +26,6 @@ _MASK_EPS = 1e-8
 
 
 @dataclass(frozen=True)
-class WeightMap:
-    """Per-pixel non-negative loss weights; default is all-ones."""
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=np.float64)
-        if v.ndim != 2:
-            raise ShapeError(f"weight map must be 2-D, got shape {v.shape}")
-        if not np.all(np.isfinite(v)) or np.any(v < 0):
-            raise DataError("weights must be finite and non-negative")
-        v = np.ascontiguousarray(v)
-        v.setflags(write=False)
-        object.__setattr__(self, "values", v)
-
-    @classmethod
-    def ones(cls, height: int, width: int) -> "WeightMap":
-        return cls(values=np.ones((height, width)))
-
-
-@dataclass(frozen=True)
 class LossWeights:
     """Term weights: lambda1..3 mix the image-stage loss, lambda_temporal
     and mu_mask the video-stage loss."""
@@ -72,45 +51,27 @@ class LossReport:
     weights: dict
     total: float
 
-    def __post_init__(self):
-        if set(self.terms) != set(self.weights):
-            raise ShapeError("terms and weights must name the same keys")
-        check = sum(self.weights[k] * self.terms[k] for k in sorted(self.terms))
-        if abs(check - self.total) > 1e-12 * max(1.0, abs(check)):
-            raise DataError(f"total {self.total} does not equal weighted sum {check}")
-
 
 def _report(terms: dict, weights: dict) -> LossReport:
     total = sum(weights[k] * terms[k] for k in sorted(terms))
     return LossReport(terms=terms, weights=weights, total=total)
 
 
-def _weight_values(w, shape) -> np.ndarray:
-    if w is None:
-        return np.ones(shape)
-    v = w.values if isinstance(w, WeightMap) else np.asarray(w, dtype=np.float64)
-    if v.shape != shape:
-        raise ShapeError(f"weight map shape {v.shape} does not match field {shape}")
-    return v
-
-
-def loss_flow(f: FlowField, f_gt: FlowField, w: WeightMap | None = None) -> float:
-    """Weighted mean squared endpoint error, normalized by pixel count."""
+def loss_flow(f: FlowField, f_gt: FlowField) -> float:
+    """Mean squared endpoint error, normalized by pixel count."""
     if f.shape != f_gt.shape:
         raise ShapeError(f"flow shapes differ: {f.shape} vs {f_gt.shape}")
-    wv = _weight_values(w, f.shape)
     du = f.u - f_gt.u
     dv = f.v - f_gt.v
-    return float(np.sum(wv * (du * du + dv * dv)) / (f.shape[0] * f.shape[1]))
+    return float(np.sum(du * du + dv * dv) / (f.shape[0] * f.shape[1]))
 
 
-def loss_photo(i_hat: Frame, i_gt: Frame, w: WeightMap | None = None) -> float:
-    """Weighted mean squared intensity error, summed over channels."""
+def loss_photo(i_hat: Frame, i_gt: Frame) -> float:
+    """Mean squared intensity error, summed over channels."""
     if (i_hat.height, i_hat.width, i_hat.channels) != (i_gt.height, i_gt.width, i_gt.channels):
         raise ShapeError("frame dimensions or channel counts differ")
-    wv = _weight_values(w, (i_hat.height, i_hat.width))
     diff = i_hat.channel_stack() - i_gt.channel_stack()
-    return float(np.sum(wv * np.sum(diff * diff, axis=2)) / (i_hat.height * i_hat.width))
+    return float(np.sum(np.sum(diff * diff, axis=2)) / (i_hat.height * i_hat.width))
 
 
 def sobel(channel) -> tuple[np.ndarray, np.ndarray]:
@@ -198,12 +159,12 @@ def loss_mask(f: FlowField, f_gt: FlowField, m: Mask) -> float:
 
 
 def loss_image(f: FlowField, f_gt: FlowField, i_hat: Frame, i_gt: Frame, m: Mask,
-               w: WeightMap | None = None, lw: LossWeights = LossWeights()) -> LossReport:
+               lw: LossWeights = LossWeights()) -> LossReport:
     """Image-stage composite: lambda1*mask + lambda2*photo + lambda3*flow."""
     terms = {
         "mask": loss_mask(f, f_gt, m),
-        "photo": loss_photo(i_hat, i_gt, w),
-        "flow": loss_flow(f, f_gt, w),
+        "photo": loss_photo(i_hat, i_gt),
+        "flow": loss_flow(f, f_gt),
     }
     weights = {"mask": lw.lambda1, "photo": lw.lambda2, "flow": lw.lambda3}
     return _report(terms, weights)

@@ -162,10 +162,11 @@ def stability_score(series: TrajectorySeries,
     Fits a similarity transform to every frame's cumulative position
     field, then scores the translation-magnitude and rotation series by
     the energy in bins low_band[0]..low_band[1] relative to bins
-    2..floor(N/2). A series with no energy above bin 1 scores 1.
+    2..floor(N/2). A series with no energy above bin 1 scores 1. The band
+    must pass check_low_band for the series' frame count.
     """
-    check_low_band(low_band)
     n = series.positions.shape[0]
+    check_low_band(low_band, n)
     if n < MIN_STABILITY_FRAMES:
         raise ShapeError(f"stability needs >= {MIN_STABILITY_FRAMES} frames, got {n}")
     et, er = _spectra(series)

@@ -33,20 +33,17 @@ class CameraSpec:
     width: int
     height: int
     focal_px: float
-    principal_point: tuple[float, float] | None = None
 
     def __post_init__(self):
         if self.width < 2 or self.height < 2:
             raise ShapeError(f"camera needs at least 2x2 pixels, got {self.width}x{self.height}")
         if not (np.isfinite(self.focal_px) and self.focal_px > 0):
             raise DataError(f"focal_px must be positive, got {self.focal_px}")
-        pp = self.principal_point
-        if pp is None:
-            pp = ((self.width - 1) / 2.0, (self.height - 1) / 2.0)
-        px, py = float(pp[0]), float(pp[1])
-        if not (0.0 <= px <= self.width - 1 and 0.0 <= py <= self.height - 1):
-            raise DataError(f"principal point {pp} lies outside the frame")
-        object.__setattr__(self, "principal_point", (px, py))
+
+    @property
+    def principal_point(self) -> tuple[float, float]:
+        """The image centre, in pixel coordinates (x, y)."""
+        return (self.width - 1) / 2.0, (self.height - 1) / 2.0
 
 
 @dataclass(frozen=True)
@@ -252,12 +249,12 @@ def _scene_value(spec: SceneSpec, blobs: tuple[np.ndarray, ...], xs: np.ndarray,
     return v
 
 
-def _in_frame(points: np.ndarray, cam: CameraSpec, tol: float = 0.0) -> bool:
+def _in_frame(points: np.ndarray, cam: CameraSpec) -> bool:
     return bool(
-        np.all(points[:, 0] >= -tol)
-        and np.all(points[:, 0] <= cam.width - 1 + tol)
-        and np.all(points[:, 1] >= -tol)
-        and np.all(points[:, 1] <= cam.height - 1 + tol)
+        np.all(points[:, 0] >= 0.0)
+        and np.all(points[:, 0] <= cam.width - 1)
+        and np.all(points[:, 1] >= 0.0)
+        and np.all(points[:, 1] <= cam.height - 1)
     )
 
 

@@ -52,16 +52,16 @@ class TrajectorySeries:
     def n_frames(self) -> int:
         return self.residuals.shape[0]
 
-    def mean_displacements(self, margin: int = _SUMMARY_MARGIN) -> np.ndarray:
+    def mean_displacements(self) -> np.ndarray:
         """Per-frame mean of R(t) over the interior, shape (N, 2).
 
-        The margin drops border pixels biased by clamped resampling; it is
-        ignored when the field is too small to have an interior.
+        _SUMMARY_MARGIN drops border pixels biased by clamped resampling;
+        it is ignored when the field is too small to have an interior.
         """
-        if margin > 0 and min(self.positions.shape[1], self.positions.shape[2]) > 2 * margin:
-            inner = self.positions[:, margin:-margin, margin:-margin, :]
-        else:
-            inner = self.positions
+        m = _SUMMARY_MARGIN
+        inner = self.positions
+        if min(inner.shape[1:3]) > 2 * m:
+            inner = inner[:, m:-m, m:-m, :]
         return inner.mean(axis=(1, 2))
 
 

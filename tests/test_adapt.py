@@ -140,9 +140,11 @@ def test_adapt_rejects_short_sequences_and_bad_params():
         with pytest.raises(DataError):
             AdaptParams(tol=bad)
     with pytest.raises(DataError):
-        AdaptParams(backtrack_factor=1.0)
-    with pytest.raises(DataError):
         AdaptParams(lambda_temporal=-1.0)
+    for name in ("lambda_temporal", "mu_mask"):
+        for bad in (np.nan, np.inf):
+            with pytest.raises(DataError, match=f"{name} must be finite"):
+                AdaptParams(**{name: bad})
 
 
 def test_total_matches_loss_video_at_every_accepted_state():

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from rectiflow import ConfigError, Frame, cli
+from rectiflow import ConfigError, Frame, cli, config
 from rectiflow.cli import main
 from rectiflow.config import load_config
 from rectiflow.pnm import mask_to_pgm, write_ppm
@@ -75,7 +75,7 @@ def test_load_config_defaults_and_overrides(tmp_path):
     assert cfg.out is None and cfg.threads == 1
     over = load_config(path, seed=99, out="somewhere", threads=3)
     assert over.seed == 99 and over.out == "somewhere" and over.threads == 3
-    assert over.scene_seed == 99 and over.jitter.seed == 100
+    assert over.jitter.seed == 100
     assert (cfg.camera.width, cfg.camera.height) == (48, 48)
     assert cfg.jitter.profile is JitterProfile.WHITE_NOISE and cfg.jitter.amplitude == 0.8
     assert cfg.jitter.period_frames == 8
@@ -97,10 +97,15 @@ def test_load_config_rejects_unknown_and_invalid(tmp_path):
         "not a valid boolean": "[pipeline]\nseed = 1\nadaptation = maybe\n",
         "mode must be": "[pipeline]\nseed = 1\nmode = magic\n",
         "profile must be": "[pipeline]\nseed = 1\n[jitter]\nprofile = earthquake\n",
-        "set together": "[pipeline]\nseed = 1\n[camera]\nprincipal_x = 3\n",
         "low_band": "[pipeline]\nseed = 1\n[metrics]\nlow_band = wide\n",
         r"unknown config section \[schedule\]": "[pipeline]\nseed = 1\n[schedule]\nsteps = 50\n",
         r"unknown config key \[losses\] lambda1": "[pipeline]\nseed = 1\n[losses]\nlambda1 = 1\n",
+        r"unknown config key \[adapt\] backtrack_factor":
+            "[pipeline]\nseed = 1\n[adapt]\nbacktrack_factor = 0.5\n",
+        r"unknown config key \[camera\] principal_x": "[pipeline]\nseed = 1\n[camera]\nprincipal_x = 3\n",
+        r"unknown config key \[camera\] principal_y": "[pipeline]\nseed = 1\n[camera]\nprincipal_y = 3\n",
+        r"unknown config key \[scene\] seed": "[pipeline]\nseed = 1\n[scene]\nseed = 2\n",
+        r"unknown config key \[jitter\] seed": "[pipeline]\nseed = 1\n[jitter]\nseed = 2\n",
     }
     for needle, text in cases.items():
         with pytest.raises(ConfigError, match=needle):
@@ -135,6 +140,8 @@ def test_cli_exit_codes(tmp_path, capsys):
 def _with_setting(section, key, value):
     ini = configparser.ConfigParser(interpolation=None)
     ini.read_string(_SMALL)
+    if not ini.has_section(section):
+        ini.add_section(section)
     ini[section][key] = value
     text = io.StringIO()
     ini.write(text)
@@ -151,6 +158,8 @@ _BAD_SETTINGS = [
     ("camera", "focal_px", "-5"),
     ("metrics", "low_band", "9,2"),
     ("pipeline", "frames", "2"),
+    ("losses", "lambda_temporal", "nan"),
+    ("losses", "mu_mask", "inf"),
 ]
 
 
@@ -161,7 +170,70 @@ def test_bad_adapt_settings_fail_at_load_and_write_nothing(tmp_path, capsys,
     cfg = _write_config(tmp_path, _with_setting(section, key, value))
     out = tmp_path / "run"
     assert main(["pipeline", "--config", str(cfg), "--out", str(out)]) == 2
-    assert "config error" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "config error" in err and key in err
+    assert not out.exists()
+
+
+# One valid value per config key, each different from what _SMALL loads.
+_KEY_VALUES = {
+    ("pipeline", "mode"): "ingest",
+    ("pipeline", "seed"): "6",
+    ("pipeline", "frames"): "9",
+    ("pipeline", "out"): "elsewhere",
+    ("pipeline", "adaptation"): "false",
+    ("camera", "width"): "40",
+    ("camera", "height"): "40",
+    ("camera", "focal_px"): "30",
+    ("scene", "n_lines"): "3",
+    ("scene", "n_faces"): "2",
+    ("jitter", "amplitude"): "0.5",
+    ("jitter", "profile"): "sinusoidal",
+    ("jitter", "period_frames"): "6",
+    ("jitter", "rotation"): "false",
+    ("flow", "alpha"): "10",
+    ("flow", "iterations"): "30",
+    ("flow", "pyramid_levels"): "3",
+    ("flow", "downscale"): "0.6",
+    ("losses", "lambda_temporal"): "5",
+    ("losses", "mu_mask"): "0.2",
+    ("adapt", "step_size"): "0.5",
+    ("adapt", "max_iters"): "20",
+    ("adapt", "tol"): "1e-4",
+    ("metrics", "low_band"): "3,4",
+    ("ingest", "frames_dir"): "frames",
+    ("ingest", "masks_dir"): "masks",
+    ("ingest", "flows_dir"): "flows",
+    ("ingest", "pseudo_dir"): "pseudo",
+    ("ingest", "annotations"): "annotations.txt",
+}
+
+
+def test_every_config_key_drives_something(tmp_path):
+    """Each key of the schema, set on its own, changes the loaded config."""
+    assert set(_KEY_VALUES) == {(s, k) for s, keys in config._SCHEMA.items() for k in keys}
+    base = load_config(_write_config(tmp_path))
+    for (section, key), value in _KEY_VALUES.items():
+        path = _write_config(tmp_path, _with_setting(section, key, value), "key.ini")
+        assert load_config(path) != base, f"[{section}] {key} = {value}"
+
+
+@pytest.mark.parametrize("command", ["trajectory", "adapt"])
+def test_flow_count_mismatch_fails_before_creating_out(tmp_path, capsys, command):
+    """8 pseudo-labels need 7 inter-frame flows; with 5 the stage fails on
+    its inputs and leaves no --out behind."""
+    src = tmp_path / "src"
+    assert main(["synth", "--config", str(_write_config(tmp_path)), "--out", str(src)]) == 0
+    flows = tmp_path / "flows"
+    flows.mkdir()
+    for path in sorted((src / "flows_gt").glob("*_fwd.flo"))[:5]:
+        (flows / path.name).write_bytes(path.read_bytes())
+    text = ("[pipeline]\nmode = ingest\nseed = 5\n[metrics]\nlow_band = 2,3\n[ingest]\n"
+            f"pseudo_dir = {src / 'pseudo'}\nflows_dir = {flows}\n")
+    out = tmp_path / "run"
+    assert main([command, "--config", str(_write_config(tmp_path, text, "ingest.ini")),
+                 "--out", str(out)]) == 3
+    assert "data error" in capsys.readouterr().err
     assert not out.exists()
 
 

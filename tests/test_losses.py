@@ -7,7 +7,6 @@ from rectiflow import (Direction, FlowField, Frame, Mask, ShapeError, make_grid,
                        sample_bilinear_with_grad)
 from rectiflow.losses import (
     LossWeights,
-    WeightMap,
     grad_video,
     loss_flow,
     loss_image,
@@ -54,18 +53,8 @@ def test_loss_flow_values():
     g = _flow([[0.0]], [[1.0]])
     assert loss_flow(f, f) == 0.0
     assert loss_flow(f, g) == pytest.approx(2.0, abs=1e-15)
-    assert loss_flow(f, g, WeightMap(values=np.zeros((1, 1)))) == 0.0
     with pytest.raises(ShapeError):
         loss_flow(f, _flow(np.zeros((2, 2)), np.zeros((2, 2))))
-
-
-def test_loss_flow_weight_scaling():
-    rng = np.random.default_rng(3)
-    f = _flow(rng.random((5, 5)), rng.random((5, 5)))
-    g = _flow(rng.random((5, 5)), rng.random((5, 5)))
-    w = WeightMap(values=rng.random((5, 5)))
-    assert loss_flow(f, g, WeightMap(values=3.0 * w.values)) == pytest.approx(
-        3.0 * loss_flow(f, g, w), rel=1e-12)
 
 
 def test_loss_photo_values():

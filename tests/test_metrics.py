@@ -196,6 +196,16 @@ def test_stability_needs_enough_frames():
         stability_score(_series_from_translations(np.zeros(7)))
 
 
+def test_default_band_that_holds_every_scored_bin_is_rejected():
+    """A 12-frame run scores bins 2..6: the default band (2, 6) holds all of
+    them, so a random walk would score 1.0 like a still camera."""
+    walk = np.concatenate([[0.0], np.cumsum(np.random.default_rng(5).normal(size=11))])
+    series = _series_from_translations(walk)
+    with pytest.raises(ConfigError, match="12-frame run"):
+        stability_score(series)
+    assert stability_score(series, low_band=(2, 3)).translational < 1.0
+
+
 def test_stability_report_invariants():
     with pytest.raises(DataError):
         StabilityReport(avg=0.9, translational=1.0, rotational=1.0)
