@@ -13,8 +13,8 @@ import argparse
 import dataclasses
 import hashlib
 import json
+import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -48,13 +48,56 @@ from .synth import (
 from .trajectory import trajectory_csv, trajectory_of_sequence
 
 
+# The job function and its inputs inside a forked worker, set by
+# _init_worker there; the parent process never assigns them.
+_worker_jobs = None
+
+
+def _init_worker(fn, items):
+    global _worker_jobs
+    _worker_jobs = (fn, items)
+
+
+def _run_job(index: int):
+    fn, items = _worker_jobs
+    return fn(items[index])
+
+
+def _worker_count(threads: int, jobs: int) -> int:
+    """Workers worth starting: at most one per job and per usable CPU."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no CPU affinity on this platform
+        cpus = os.cpu_count() or 1
+    return max(1, min(threads, jobs, cpus))
+
+
 def _parallel_map(fn, items, threads: int) -> list:
-    # Collection is index-ordered, so results do not depend on thread count.
+    """[fn(x) for x in items], on up to `threads` forked worker processes.
+
+    Numpy releases the GIL too briefly on these arrays for threads to
+    overlap, so jobs run in processes. They fork rather than spawn
+    because a spawned worker re-imports numpy and the package, which
+    costs what it saves; the executor forks every worker before it
+    starts its own thread. A worker inherits fn and items through the
+    fork, so only job indices and results are pickled, and fn may be a
+    closure. Results come back in index order, so they do not depend on
+    the worker count.
+    """
     items = list(items)
-    if threads <= 1 or len(items) <= 1:
+    workers = _worker_count(threads, len(items))
+    if workers == 1:
         return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
+    # Imported here so that serial runs never load multiprocessing.
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
+                               initializer=_init_worker, initargs=(fn, items))
+    try:
+        return list(pool.map(_run_job, range(len(items))))
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
 def _run_dir(cfg: PipelineConfig) -> Path:
@@ -164,8 +207,9 @@ def cmd_synth(cfg: PipelineConfig):
     root = _out_root(cfg)
     cam = cfg.camera
     scene = default_scene(cam, n_lines=cfg.n_lines, n_faces=cfg.n_faces, seed=cfg.seed)
-    ideal, _ = render_scene(scene, cam, distorted=False)
-    observed, ann = render_scene(scene, cam, distorted=True)
+    (ideal, _), (observed, ann) = _parallel_map(
+        lambda distorted: render_scene(scene, cam, distorted=distorted), (False, True),
+        cfg.threads)
     (root / "ideal.ppm").write_bytes(write_ppm(ideal))
     (root / "observed.ppm").write_bytes(write_ppm(observed))
     (root / "annotations.txt").write_text(annotations_to_text(ann))
@@ -184,9 +228,8 @@ def cmd_synth(cfg: PipelineConfig):
 
     frames_dir = root / "frames"
     frames_dir.mkdir(exist_ok=True)
-    blobs = _parallel_map(write_ppm, frames, cfg.threads)
-    for t, blob in enumerate(blobs):
-        (frames_dir / f"{t:06d}.ppm").write_bytes(blob)
+    for t, frame in enumerate(frames):
+        (frames_dir / f"{t:06d}.ppm").write_bytes(write_ppm(frame))
 
     pseudo_dir = root / "pseudo"
     pseudo_dir.mkdir(exist_ok=True)
@@ -207,16 +250,15 @@ def cmd_flow(cfg: PipelineConfig):
         raise DataError(f"flow estimation needs >= 2 frames, got {len(frames)}")
     root = _out_root(cfg)
 
-    def one(pair):
-        a, b = pair
-        return estimate_flow(a, b, cfg.flow), estimate_flow(b, a, cfg.flow)
-
-    results = _parallel_map(one, zip(frames[:-1], frames[1:]), cfg.threads)
+    # One job per pair and direction: job 2t is pair t's forward flow and
+    # job 2t + 1 its backward flow, so the workers share equal jobs.
+    jobs = [ab for a, b in zip(frames[:-1], frames[1:]) for ab in ((a, b), (b, a))]
+    blobs = _parallel_map(lambda ab: write_flo(estimate_flow(*ab, cfg.flow)), jobs, cfg.threads)
     flows_dir = root / "flows"
     flows_dir.mkdir(exist_ok=True)
-    for t, (fwd, bwd) in enumerate(results):
-        (flows_dir / f"{t:06d}_fwd.flo").write_bytes(write_flo(fwd))
-        (flows_dir / f"{t:06d}_bwd.flo").write_bytes(write_flo(bwd))
+    for t in range(len(frames) - 1):
+        (flows_dir / f"{t:06d}_fwd.flo").write_bytes(blobs[2 * t])
+        (flows_dir / f"{t:06d}_bwd.flo").write_bytes(blobs[2 * t + 1])
 
 
 def cmd_correct(cfg: PipelineConfig):
@@ -230,10 +272,7 @@ def cmd_correct(cfg: PipelineConfig):
             f"{len(frames)} frames but {len(pseudo)} pseudo-label flows"
         )
     root = _out_root(cfg)
-    corrected = _parallel_map(
-        lambda pair: write_ppm(warp_backward(pair[0], pair[1])),
-        zip(frames, pseudo), cfg.threads,
-    )
+    corrected = [write_ppm(warp_backward(f, p)) for f, p in zip(frames, pseudo)]
     out_dir = root / "corrected"
     out_dir.mkdir(exist_ok=True)
     for t, blob in enumerate(corrected):
@@ -386,7 +425,8 @@ def main(argv=None) -> int:
         p.add_argument("--out", default=None, help="output directory (overrides config)")
         p.add_argument("--seed", type=int, default=None, help="seed (overrides config)")
         p.add_argument("--threads", type=int, default=None,
-                       help="worker threads for per-frame stages")
+                       help="worker processes (forked) for the flow estimates and "
+                            "the synth renders; 1 runs everything in this process")
     args = parser.parse_args(argv)
     try:
         cfg = load_config(args.config, seed=args.seed, out=args.out,

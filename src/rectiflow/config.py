@@ -136,6 +136,10 @@ def load_config(path, seed: int | None = None, out: str | None = None,
     mode = pipe.get_str("mode", "synthetic")
     if mode not in ("synthetic", "ingest"):
         raise ConfigError(f"[pipeline] mode must be synthetic or ingest, got {mode!r}")
+    ingest = sect("ingest")
+    if mode == "synthetic" and ingest.raw:
+        raise ConfigError(f"[ingest] {next(iter(ingest.raw))} is read only in ingest mode; "
+                          "remove it or set [pipeline] mode = ingest")
     if seed is None:
         seed = pipe.get_int("seed")
         if seed is None:
@@ -198,7 +202,6 @@ def load_config(path, seed: int | None = None, out: str | None = None,
     check_low_band((lo, hi), frames if mode == "synthetic" else None)
 
     scene = sect("scene")
-    ingest = sect("ingest")
     return PipelineConfig(
         mode=mode,
         seed=seed,

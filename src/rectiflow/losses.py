@@ -115,20 +115,29 @@ def sobel_adjoint(zx, zy) -> np.ndarray:
     then columns, which also carries the corners). On the mask * sign
     inputs grad_video passes, every partial sum is a small integer, so the
     result has the same bits as any other summation order.
+
+    Each buffer's first term is assigned rather than added to zeros. That
+    can only turn a +0.0 partial sum into -0.0, and the closing + 0.0 maps
+    -0.0 back to +0.0, so the bits equal those of the zero-filled sums.
     """
     zx = np.asarray(zx, dtype=np.float64)
     zy = np.asarray(zy, dtype=np.float64)
     h, w = zx.shape
-    dx = np.zeros((h + 2, w))
-    dx[:-2] += zx
-    dx[1:-1] += 2.0 * zx
+    twice = np.multiply(zx, 2.0)
+    dx = np.empty((h + 2, w))
+    dx[:-2] = zx
+    dx[-2:] = 0.0
+    dx[1:-1] += twice
     dx[2:] += zx
-    dy = np.zeros((h, w + 2))
-    dy[:, :-2] += zy
-    dy[:, 1:-1] += 2.0 * zy
+    np.multiply(zy, 2.0, out=twice)
+    dy = np.empty((h, w + 2))
+    dy[:, :-2] = zy
+    dy[:, -2:] = 0.0
+    dy[:, 1:-1] += twice
     dy[:, 2:] += zy
-    p = np.zeros((h + 2, w + 2))
-    p[:, 2:] += dx
+    p = np.empty((h + 2, w + 2))
+    p[:, 2:] = dx
+    p[:, :2] = 0.0
     p[:, :-2] -= dx
     p[2:, :] += dy
     p[:-2, :] -= dy
@@ -136,7 +145,7 @@ def sobel_adjoint(zx, zy) -> np.ndarray:
     p[h, :] += p[h + 1, :]
     p[:, 1] += p[:, 0]
     p[:, w] += p[:, w + 1]
-    return p[1 : h + 1, 1 : w + 1].copy()
+    return p[1 : h + 1, 1 : w + 1] + 0.0
 
 
 def loss_mask(f: FlowField, f_gt: FlowField, m: Mask) -> float:

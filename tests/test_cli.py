@@ -3,6 +3,7 @@
 import configparser
 import io
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -11,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from rectiflow import ConfigError, Frame, cli, config
+from rectiflow import ConfigError, DataError, Frame, cli, config
 from rectiflow.cli import main
 from rectiflow.config import load_config
 from rectiflow.pnm import mask_to_pgm, write_ppm
@@ -137,9 +138,9 @@ def test_cli_exit_codes(tmp_path, capsys):
     assert "output directory" in capsys.readouterr().err
 
 
-def _with_setting(section, key, value):
+def _with_setting(section, key, value, text=_SMALL):
     ini = configparser.ConfigParser(interpolation=None)
-    ini.read_string(_SMALL)
+    ini.read_string(text)
     if not ini.has_section(section):
         ini.add_section(section)
     ini[section][key] = value
@@ -160,6 +161,12 @@ _BAD_SETTINGS = [
     ("pipeline", "frames", "2"),
     ("losses", "lambda_temporal", "nan"),
     ("losses", "mu_mask", "inf"),
+    # Only ingest runs read [ingest]; _SMALL is synthetic.
+    ("ingest", "frames_dir", "frames"),
+    ("ingest", "masks_dir", "masks"),
+    ("ingest", "flows_dir", "flows"),
+    ("ingest", "pseudo_dir", "pseudo"),
+    ("ingest", "annotations", "annotations.txt"),
 ]
 
 
@@ -210,12 +217,16 @@ _KEY_VALUES = {
 
 
 def test_every_config_key_drives_something(tmp_path):
-    """Each key of the schema, set on its own, changes the loaded config."""
+    """Each key of the schema, set on its own, changes the loaded config.
+    [ingest] keys are set on an ingest config, the only mode that reads them."""
     assert set(_KEY_VALUES) == {(s, k) for s, keys in config._SCHEMA.items() for k in keys}
-    base = load_config(_write_config(tmp_path))
+    ingest = _with_setting("pipeline", "mode", "ingest")
+    bases = {text: load_config(_write_config(tmp_path, text, "base.ini"))
+             for text in (_SMALL, ingest)}
     for (section, key), value in _KEY_VALUES.items():
-        path = _write_config(tmp_path, _with_setting(section, key, value), "key.ini")
-        assert load_config(path) != base, f"[{section}] {key} = {value}"
+        text = ingest if section == "ingest" else _SMALL
+        path = _write_config(tmp_path, _with_setting(section, key, value, text), "key.ini")
+        assert load_config(path) != bases[text], f"[{section}] {key} = {value}"
 
 
 @pytest.mark.parametrize("command", ["trajectory", "adapt"])
@@ -363,19 +374,24 @@ def _run_dir_bytes(root: Path) -> dict:
     return {p.relative_to(root): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
 
 
-def test_pipeline_output_independent_of_thread_counts(tmp_path):
-    """Worker threads and BLAS threads must not change a single output byte."""
-    cfg = _write_config(tmp_path)
+def _fresh_env(**extra):
+    """Environment of a fresh interpreter that imports this checkout's package."""
     src = str(Path(__file__).resolve().parent.parent / "src")
+    return {**os.environ, **extra,
+            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
+def test_pipeline_output_independent_of_thread_counts(tmp_path):
+    """Worker processes and BLAS threads must not change a single output byte."""
+    cfg = _write_config(tmp_path)
 
     def run(name, threads, blas_threads):
-        env = {**os.environ, "OPENBLAS_NUM_THREADS": str(blas_threads),
-               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
         out = tmp_path / name
         proc = subprocess.run(
             [sys.executable, "-m", "rectiflow.cli", "pipeline", "--config", str(cfg),
              "--out", str(out), "--threads", str(threads)],
-            env=env, capture_output=True, text=True, timeout=300)
+            env=_fresh_env(OPENBLAS_NUM_THREADS=str(blas_threads)),
+            capture_output=True, text=True, timeout=300)
         assert proc.returncode == 0, proc.stderr
         return _run_dir_bytes(out)
 
@@ -383,6 +399,52 @@ def test_pipeline_output_independent_of_thread_counts(tmp_path):
     assert len(base) > 20
     assert run("t2_blas1", threads=2, blas_threads=1) == base
     assert run("t1_blas2", threads=1, blas_threads=2) == base
+    # Workers fork from a process whose BLAS thread pool is running.
+    assert run("t2_blas2", threads=2, blas_threads=2) == base
+
+
+def test_worker_count_is_capped_by_jobs_and_usable_cpus(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    assert cli._worker_count(1000, 14) == 2
+    assert cli._worker_count(3, 14) == 2
+    assert cli._worker_count(8, 1) == 1
+    assert cli._worker_count(1, 14) == 1
+    assert cli._worker_count(2, 0) == 1
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    assert cli._worker_count(1000, 14) == 4
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert cli._worker_count(1000, 14) == 1
+
+
+def test_worker_failure_exits_like_a_serial_one(tmp_path, capsys, monkeypatch):
+    """A DataError raised in a forked worker (which inherits the patch)
+    exits 3 with the serial run's message and leaves no worker behind."""
+    def broken(frame_a, frame_b, params):
+        raise DataError("flow estimator failed")
+
+    monkeypatch.setattr(cli, "estimate_flow", broken)
+    # Two usable CPUs, so --threads 2 forks workers on any machine.
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    cfg = _write_config(tmp_path)
+    errors = []
+    for threads in (1, 2):
+        out = tmp_path / f"t{threads}"
+        assert main(["pipeline", "--config", str(cfg), "--out", str(out),
+                     "--threads", str(threads)]) == 3
+        errors.append(capsys.readouterr().err)
+        assert multiprocessing.active_children() == []
+    assert errors[0] == errors[1] == "data error: flow estimator failed\n"
+
+
+def test_serial_run_does_not_import_multiprocessing(tmp_path):
+    code = ("import sys; from rectiflow.cli import main; "
+            f"code = main(['synth', '--config', {str(_write_config(tmp_path))!r}, "
+            f"'--out', {str(tmp_path / 'run')!r}, '--threads', '1']); "
+            "print(code, 'multiprocessing' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code], env=_fresh_env(),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.stdout.split() == ["0", "False"], proc.stderr
 
 
 def test_pipeline_end_to_end_and_determinism(tmp_path):
