@@ -20,10 +20,10 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .adapt import adapt_history_csv, adapt_sequence
+from .adapt import adapt_history_csv, adapt_sequence, correct_sequence
 from .config import PipelineConfig, load_config
 from .errors import ConfigError, DataError, RectiflowError
-from .field import Direction, FlowField, Mask, pull_points_through_flow, warp_backward
+from .field import Direction, FlowField, Mask, pull_points_through_flow
 from .interflow import estimate_flow, read_flo, write_flo
 from .metrics import (
     MIN_STABILITY_FRAMES,
@@ -114,74 +114,85 @@ def _out_root(cfg: PipelineConfig) -> Path:
     return root
 
 
-def _require_dir(path: Path, hint: str) -> Path:
-    if not path.is_dir():
-        raise DataError(f"missing input directory: {path} ({hint})")
-    return path
+# Each input a stage reads: the glob that lists its files (None: the input
+# is one file) and the parser of one file. The parsers look the codecs up
+# at call time, so a codec patched onto this module is the one that runs.
+_INPUTS = {
+    "frames": ("*.ppm", lambda path: read_ppm(path.read_bytes())),
+    "pseudo": ("*.flo", lambda path: read_flo(path.read_bytes(), Direction.BACKWARD)),
+    "masks": ("*.pgm", lambda path: pgm_to_mask(path.read_bytes())),
+    "flows": ("*_fwd.flo", lambda path: read_flo(path.read_bytes(), Direction.FORWARD)),
+    "annotations": (None, lambda path: annotations_from_text(path.read_text())),
+    "adapted": ("*.flo", lambda path: read_flo(path.read_bytes(), Direction.BACKWARD)),
+}
+
+# Where the synth stage writes each input under --out, and the [ingest] key
+# that names it in ingest mode.
+_SYNTH_PATHS = {"frames": "frames", "pseudo": "pseudo", "masks": "masks",
+                "flows": "flows_gt", "annotations": "annotations.txt"}
+_INGEST_KEYS = {"frames": "frames_dir", "pseudo": "pseudo_dir", "masks": "masks_dir",
+                "flows": "flows_dir", "annotations": "annotations"}
+_REQUIRED = ("frames", "pseudo")
 
 
-def _read_frames(dirpath: Path, hint: str):
-    _require_dir(dirpath, hint)
-    files = sorted(dirpath.glob("*.ppm"))
-    if not files:
-        raise DataError(f"missing input: no .ppm frames under {dirpath} ({hint})")
-    return [read_ppm(f.read_bytes()) for f in files]
+def _input(cfg: PipelineConfig, name: str) -> tuple[Path | None, str]:
+    """Where input `name` comes from, and the hint for when it is missing.
+
+    The config decides, never what already lies under --out. A synthetic
+    run reads what its synth stage wrote, with the ground-truth flows. An
+    ingest run reads the [ingest] paths, and without flows_dir its own
+    flow stage's estimates. None means the input is not given: an ingest
+    run without masks_dir counts every pixel, and one without annotations
+    has no line or shape scores.
+    """
+    if name == "adapted":
+        return _run_dir(cfg) / "adapted", "run the adapt stage first"
+    if cfg.mode == "synthetic":
+        return _run_dir(cfg) / _SYNTH_PATHS[name], "run the synth stage first"
+    key = _INGEST_KEYS[name]
+    given = getattr(cfg, key)
+    if given is not None:
+        return Path(given), f"[ingest] {key}"
+    if name in _REQUIRED:
+        raise ConfigError(f"[ingest] {key} is required in ingest mode")
+    if name == "flows":
+        return _run_dir(cfg) / "flows", "run the flow stage first"
+    return None, f"[ingest] {key} is not set"
 
 
-def _read_flo_dir(dirpath: Path, pattern: str, direction: Direction, hint: str):
-    _require_dir(dirpath, hint)
-    files = sorted(dirpath.glob(pattern))
-    if not files:
-        raise DataError(f"missing input: no {pattern} files under {dirpath} ({hint})")
-    return [read_flo(f.read_bytes(), direction) for f in files]
+def _files(cfg: PipelineConfig, names) -> list:
+    """The files of each named input (None for one not given), checked to
+    exist. A synthetic run must hold one per frame, or one per frame pair
+    of flows. Every input is located before any is listed, so an unset
+    [ingest] key fails before a missing directory does.
+    """
+    listed = []
+    for name, (path, hint) in [(name, _input(cfg, name)) for name in names]:
+        pattern = _INPUTS[name][0]
+        if path is None:
+            files = None
+        elif pattern is None:  # a one-file input
+            if not path.is_file():
+                raise DataError(f"missing input file: {path} ({hint})")
+            files = [path]
+        else:
+            if not path.is_dir():
+                raise DataError(f"missing input directory: {path} ({hint})")
+            files = sorted(path.glob(pattern))
+            if not files:
+                raise DataError(f"missing input: no {pattern} files under {path} ({hint})")
+            expected = cfg.frames - (name == "flows")
+            if cfg.mode == "synthetic" and len(files) != expected:
+                raise DataError(f"{len(files)} {pattern} files under {path}, but "
+                                f"[pipeline] frames = {cfg.frames} needs {expected}")
+        listed.append(files)
+    return listed
 
 
-def _frames_dir(cfg: PipelineConfig) -> Path:
-    if cfg.mode == "ingest":
-        if cfg.frames_dir is None:
-            raise ConfigError("[ingest] frames_dir is required in ingest mode")
-        return Path(cfg.frames_dir)
-    return _run_dir(cfg) / "frames"
-
-
-def _pseudo_dir(cfg: PipelineConfig) -> tuple[Path, str]:
-    """Directory of the pseudo-label flows and the hint for when it is missing."""
-    if cfg.mode == "ingest":
-        if cfg.pseudo_dir is None:
-            raise ConfigError("[ingest] pseudo_dir is required in ingest mode")
-        return Path(cfg.pseudo_dir), "pseudo-label correction flows"
-    return _run_dir(cfg) / "pseudo", "run the synth stage first"
-
-
-def _pseudo_flows(cfg: PipelineConfig):
-    dirpath, hint = _pseudo_dir(cfg)
-    return _read_flo_dir(dirpath, "*.flo", Direction.BACKWARD, hint)
-
-
-def _forward_flows(cfg: PipelineConfig, root: Path):
-    """True inter-frame flows when available, estimated ones otherwise."""
-    if cfg.mode == "ingest" and cfg.flows_dir is not None:
-        return _read_flo_dir(Path(cfg.flows_dir), "*_fwd.flo", Direction.FORWARD,
-                             "inter-frame forward flows")
-    gt = root / "flows_gt"
-    if gt.is_dir() and any(gt.glob("*_fwd.flo")):
-        return _read_flo_dir(gt, "*_fwd.flo", Direction.FORWARD, "ground-truth flows")
-    return _read_flo_dir(root / "flows", "*_fwd.flo", Direction.FORWARD,
-                         "run the flow stage first")
-
-
-def _masks(cfg: PipelineConfig, root: Path, n: int, dims):
-    if cfg.mode == "ingest":
-        if cfg.masks_dir is None:
-            ones = Mask(values=np.ones(dims, dtype=np.uint8))
-            return [ones] * n
-        dirpath = _require_dir(Path(cfg.masks_dir), "face masks")
-    else:
-        dirpath = _require_dir(root / "masks", "run the synth stage first")
-    files = sorted(dirpath.glob("*.pgm"))
-    if not files:
-        raise DataError(f"missing input: no .pgm masks under {dirpath}")
-    return [pgm_to_mask(f.read_bytes()) for f in files]
+def _read(cfg: PipelineConfig, *names) -> list:
+    """Each named input parsed, one value per file; None for one not given."""
+    return [None if files is None else [_INPUTS[name][1](f) for f in files]
+            for name, files in zip(names, _files(cfg, names))]
 
 
 def _config_digest(cfg: PipelineConfig) -> str:
@@ -245,7 +256,7 @@ def cmd_synth(cfg: PipelineConfig):
 
 def cmd_flow(cfg: PipelineConfig):
     """Estimate forward and backward inter-frame flows for every pair."""
-    frames = _read_frames(_frames_dir(cfg), "frame sequence")
+    [frames] = _read(cfg, "frames")
     if len(frames) < 2:
         raise DataError(f"flow estimation needs >= 2 frames, got {len(frames)}")
     root = _out_root(cfg)
@@ -263,27 +274,16 @@ def cmd_flow(cfg: PipelineConfig):
 
 def cmd_correct(cfg: PipelineConfig):
     """Warp every frame by its pseudo-label correction flow."""
-    frames_dir = _frames_dir(cfg)
-    _pseudo_dir(cfg)  # a missing setting fails before any input is read
-    frames = _read_frames(frames_dir, "frame sequence")
-    pseudo = _pseudo_flows(cfg)
-    if len(pseudo) != len(frames):
-        raise DataError(
-            f"{len(frames)} frames but {len(pseudo)} pseudo-label flows"
-        )
-    root = _out_root(cfg)
-    corrected = [write_ppm(warp_backward(f, p)) for f, p in zip(frames, pseudo)]
-    out_dir = root / "corrected"
+    corrected = correct_sequence(*_read(cfg, "frames", "pseudo"))
+    out_dir = _out_root(cfg) / "corrected"
     out_dir.mkdir(exist_ok=True)
-    for t, blob in enumerate(corrected):
-        (out_dir / f"{t:06d}.ppm").write_bytes(blob)
+    for t, frame in enumerate(corrected):
+        (out_dir / f"{t:06d}.ppm").write_bytes(write_ppm(frame))
 
 
 def cmd_trajectory(cfg: PipelineConfig):
     """Derive the correction trajectory; emit its CSV and spectrum."""
-    pseudo = _pseudo_flows(cfg)
-    fwd = _forward_flows(cfg, _run_dir(cfg))
-    series = trajectory_of_sequence(pseudo, fwd)
+    series = trajectory_of_sequence(*_read(cfg, "pseudo", "flows"))
     root = _out_root(cfg)
     (root / "trajectory.csv").write_text(trajectory_csv(series))
     if series.n_frames >= MIN_STABILITY_FRAMES:
@@ -294,11 +294,9 @@ def cmd_adapt(cfg: PipelineConfig):
     """Smooth the correction flows against their pseudo-labels."""
     if cfg.adapt is None:
         raise ConfigError("the adapt stage requires [pipeline] adaptation = true")
-    pseudo = _pseudo_flows(cfg)
-    fwd = _forward_flows(cfg, _run_dir(cfg))
-    masks = _masks(cfg, _run_dir(cfg), len(pseudo), pseudo[0].shape)
-    if len(masks) != len(pseudo):
-        raise DataError(f"{len(pseudo)} flows but {len(masks)} masks")
+    pseudo, fwd, masks = _read(cfg, "pseudo", "flows", "masks")
+    if masks is None:
+        masks = [Mask(values=np.ones(pseudo[0].shape, dtype=np.uint8))] * len(pseudo)
     adapted, history = adapt_sequence(pseudo, masks, fwd, cfg.adapt)
     root = _out_root(cfg)
     out_dir = root / "adapted"
@@ -308,12 +306,10 @@ def cmd_adapt(cfg: PipelineConfig):
     (root / "loss_history.csv").write_text(adapt_history_csv(history))
 
 
-def _annotation_scores(cfg: PipelineConfig, root: Path, pseudo0: FlowField):
-    path = Path(cfg.annotations) if cfg.mode == "ingest" and cfg.annotations \
-        else root / "annotations.txt"
-    if not path.is_file():
+def _annotation_scores(anns, pseudo0: FlowField):
+    if anns is None:
         return None, None, None, None
-    ann = annotations_from_text(path.read_text())
+    [ann] = anns
     lines_obs, lines_corr = [], []
     for line in ann.lines:
         if line.out_of_frame:
@@ -335,20 +331,18 @@ def _annotation_scores(cfg: PipelineConfig, root: Path, pseudo0: FlowField):
     return line_before, line_after, shape_before, shape_after
 
 
-def _metric_documents(cfg: PipelineConfig, root: Path) -> dict:
-    pseudo = _pseudo_flows(cfg)
+def _metric_documents(cfg: PipelineConfig) -> dict:
+    [pseudo] = _read(cfg, "pseudo")
     check_low_band(cfg.low_band, len(pseudo))
-    fwd = _forward_flows(cfg, root)
-    line_b, line_a, shape_b, shape_a = _annotation_scores(cfg, root, pseudo[0])
+    fwd, ann = _read(cfg, "flows", "annotations")
+    [adapted] = _read(cfg, "adapted") if cfg.adapt is not None else [None]
+    line_b, line_a, shape_b, shape_a = _annotation_scores(ann, pseudo[0])
     stab_before = stab_after = None
     if len(pseudo) >= MIN_STABILITY_FRAMES:
-        stab_before = stability_score(trajectory_of_sequence(pseudo, fwd), cfg.low_band)
-        adapted_dir = root / "adapted"
-        if adapted_dir.is_dir() and any(adapted_dir.glob("*.flo")):
-            adapted = _read_flo_dir(adapted_dir, "*.flo", Direction.BACKWARD, "adapted flows")
+        stab_before = stab_after = stability_score(trajectory_of_sequence(pseudo, fwd),
+                                                   cfg.low_band)
+        if adapted is not None:
             stab_after = stability_score(trajectory_of_sequence(adapted, fwd), cfg.low_band)
-        else:
-            stab_after = stab_before
     provenance = {
         "mode": cfg.mode,
         "frames": str(len(pseudo)),
@@ -366,7 +360,7 @@ def _metric_documents(cfg: PipelineConfig, root: Path) -> dict:
 def cmd_metrics(cfg: PipelineConfig) -> dict:
     """Score the run: line/shape before vs after correction, stability
     before vs after adaptation."""
-    doc = _metric_documents(cfg, _run_dir(cfg))
+    doc = _metric_documents(cfg)
     (_out_root(cfg) / "metrics.json").write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
     return doc
 
@@ -394,11 +388,12 @@ def cmd_pipeline(cfg: PipelineConfig):
     if cfg.mode == "synthetic":
         cmd_synth(cfg)
     else:
-        # cmd_flow writes --out, so the inputs of the later stages are
-        # checked before it runs.
-        _frames_dir(cfg)
-        pseudo_dir = _require_dir(*_pseudo_dir(cfg))
-        check_low_band(cfg.low_band, len(list(pseudo_dir.glob("*.flo"))))
+        # The stages write --out as they go, so every input the config
+        # names is checked before the first of them runs.
+        named = [name for name, key in _INGEST_KEYS.items()
+                 if name in _REQUIRED or getattr(cfg, key) is not None]
+        listed = dict(zip(named, _files(cfg, named)))
+        check_low_band(cfg.low_band, len(listed["pseudo"]))
     cmd_flow(cfg)
     cmd_correct(cfg)
     cmd_trajectory(cfg)

@@ -567,3 +567,102 @@ def test_trajectory_stage_writes_csv_and_spectrum_only(tmp_path):
     assert {p.name for p in out.iterdir()} - before == {"trajectory.csv", "spectrum.csv"}
     manifest = json.loads((out / "manifest.json").read_text())
     assert set(manifest) == {"config_sha256", "package", "numpy"}
+
+
+def test_rerun_without_adaptation_ignores_adapted_flows_under_out(tmp_path):
+    """metrics reads adapted/ exactly when the config adapts, so a run with
+    adaptation off scores like a fresh one wherever it lands."""
+    off = _write_config(tmp_path, _SMALL.replace("adaptation = true", "adaptation = false"),
+                        "off.ini")
+    reused, fresh = tmp_path / "reused", tmp_path / "fresh"
+    assert main(["pipeline", "--config", str(_write_config(tmp_path)), "--out", str(reused)]) == 0
+    assert main(["pipeline", "--config", str(off), "--out", str(reused)]) == 0
+    assert main(["pipeline", "--config", str(off), "--out", str(fresh)]) == 0
+    assert (reused / "adapted").is_dir()
+    assert (reused / "metrics.json").read_bytes() == (fresh / "metrics.json").read_bytes()
+
+
+def _ingest_text(src: Path, **keys) -> str:
+    """An ingest config on the frames and pseudo-labels of the synthetic
+    run under src, plus the given [ingest] keys."""
+    keys = {"frames_dir": src / "frames", "pseudo_dir": src / "pseudo", **keys}
+    return ("[pipeline]\nmode = ingest\nseed = 5\n[losses]\nmu_mask = 0.1\n"
+            "[adapt]\nmax_iters = 40\n[metrics]\nlow_band = 2,3\n[ingest]\n"
+            + "".join(f"{key} = {path}\n" for key, path in keys.items()))
+
+
+def test_ingest_pipeline_ignores_a_synthetic_run_under_out(tmp_path):
+    """Without flows_dir an ingest run scores its own estimated flows, and
+    without annotations it has no line or shape scores, even where --out
+    holds another run's flows_gt/ and annotations.txt."""
+    small = _write_config(tmp_path)
+    src = tmp_path / "src"
+    assert main(["synth", "--config", str(small), "--out", str(src)]) == 0
+    ing = _write_config(tmp_path, _ingest_text(src), "ingest.ini")
+    reused, fresh = tmp_path / "reused", tmp_path / "fresh"
+    assert main(["pipeline", "--config", str(small), "--out", str(reused), "--seed", "99"]) == 0
+    for out in (reused, fresh):
+        assert main(["pipeline", "--config", str(ing), "--out", str(out)]) == 0
+    for name in ("metrics.json", "summary.txt"):
+        assert (reused / name).read_bytes() == (fresh / name).read_bytes(), name
+    assert "line_acc_before=none" in (fresh / "summary.txt").read_text().splitlines()
+
+
+@pytest.mark.parametrize("key", ["masks_dir", "flows_dir", "annotations"])
+def test_ingest_pipeline_checks_every_named_input_before_writing(tmp_path, capsys, key):
+    src = tmp_path / "src"
+    assert main(["synth", "--config", str(_write_config(tmp_path)), "--out", str(src)]) == 0
+    absent = tmp_path / "absent"
+    cfg = _write_config(tmp_path, _ingest_text(src, **{key: absent}), "ingest.ini")
+    out = tmp_path / "run"
+    assert main(["pipeline", "--config", str(cfg), "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert "missing input" in err and f"{absent} ([ingest] {key})" in err
+    assert not out.exists()
+
+
+def test_metrics_of_an_adapting_config_needs_the_adapt_stage(tmp_path, capsys):
+    cfg = _write_config(tmp_path)
+    out = tmp_path / "run"
+    assert main(["synth", "--config", str(cfg), "--out", str(out)]) == 0
+    assert main(["metrics", "--config", str(cfg), "--out", str(out)]) == 3
+    assert "run the adapt stage first" in capsys.readouterr().err
+    assert not (out / "metrics.json").exists()
+
+
+_EXTRA_INPUTS = [("frames", "000008.ppm", "correct", 9, 8),
+                 ("pseudo", "000008.flo", "adapt", 9, 8),
+                 ("masks", "000008.pgm", "adapt", 9, 8),
+                 ("flows_gt", "000007_fwd.flo", "trajectory", 8, 7)]
+
+
+@pytest.mark.parametrize("sub, extra, command, found, needed", _EXTRA_INPUTS,
+                         ids=[sub for sub, *_ in _EXTRA_INPUTS])
+def test_synthetic_stage_rejects_a_count_other_than_frames_implies(tmp_path, capsys, sub, extra,
+                                                                    command, found, needed):
+    """A synthetic run holds one file per frame, one flow per frame pair:
+    a stage that finds another count exits 3 and writes nothing."""
+    cfg = _write_config(tmp_path)
+    out = tmp_path / "run"
+    assert main(["synth", "--config", str(cfg), "--out", str(out)]) == 0
+    first = sorted((out / sub).iterdir())[0]
+    (out / sub / extra).write_bytes(first.read_bytes())
+    before = _run_dir_bytes(out)
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert f"{found} " in err and f"[pipeline] frames = 8 needs {needed}" in err
+    assert _run_dir_bytes(out) == before
+
+
+def test_shorter_synthetic_rerun_fails_on_the_longer_runs_frames(tmp_path, capsys):
+    """synth overwrites 8 of the 10 frames an earlier run left; the flow
+    stage finds 10 and stops before it writes, naming both counts."""
+    out = tmp_path / "run"
+    ten = _write_config(tmp_path, _SMALL.replace("frames = 8", "frames = 10"), "ten.ini")
+    assert main(["pipeline", "--config", str(ten), "--out", str(out)]) == 0
+    flows = _run_dir_bytes(out / "flows")
+    metrics = (out / "metrics.json").read_bytes()
+    assert main(["pipeline", "--config", str(_write_config(tmp_path)), "--out", str(out)]) == 3
+    assert "10 *.ppm files" in capsys.readouterr().err
+    assert _run_dir_bytes(out / "flows") == flows
+    assert (out / "metrics.json").read_bytes() == metrics

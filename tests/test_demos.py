@@ -1,9 +1,9 @@
-"""Every name a demo imports from rectiflow exists, and demo 05 runs.
+"""Every name a demo imports from rectiflow exists, and every demo runs.
 
-Most demos are parsed, not run, so this stays fast; it catches a demo left
-behind by a renamed or removed public name. Demo 05 (about 5 s) also runs
-end to end, since it builds its face masks through the same function as
-`rectiflow synth`.
+The import check catches a demo left behind by a renamed or removed public
+name. Each demo also runs end to end in its own temporary working
+directory: 01-04 take about a second each, and demo 05 (about 5 s) builds
+its face masks through the same function as `rectiflow synth`.
 """
 
 import ast
@@ -57,3 +57,16 @@ def test_video_adaptation_demo_runs(tmp_path):
                           cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     assert (tmp_path / "demo_out" / "adaptation" / "loss_history.csv").is_file()
+
+
+QUICK_DEMOS = [p for p in DEMOS if not p.name.startswith("05_")]
+
+
+@pytest.mark.parametrize("path", QUICK_DEMOS, ids=[p.name for p in QUICK_DEMOS])
+def test_demo_runs(tmp_path, path):
+    src = str(REPO / "src")
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, str(path)], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
