@@ -119,6 +119,9 @@ def adapt_sequence(
                 accepted = (candidate, cand_report)
                 break
             step *= _BACKTRACK
+        # Released before grad_video builds the next one, so that the two
+        # gradients are never held at once.
+        del grad
         if accepted is None:
             break
         previous_total = report.total

@@ -20,10 +20,10 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .adapt import adapt_history_csv, adapt_sequence, correct_sequence
+from .adapt import adapt_history_csv, adapt_sequence
 from .config import PipelineConfig, load_config
 from .errors import ConfigError, DataError, RectiflowError
-from .field import Direction, FlowField, Mask, pull_points_through_flow
+from .field import Direction, Mask, pull_points_through_flow, warp_backward
 from .interflow import estimate_flow, read_flo, write_flo
 from .metrics import (
     MIN_STABILITY_FRAMES,
@@ -45,7 +45,7 @@ from .synth import (
     render_scene,
     stereographic_correction_flow,
 )
-from .trajectory import trajectory_csv, trajectory_of_sequence
+from .trajectory import frame_fits, trajectory_csv, trajectory_steps
 
 
 # The job function and its inputs inside a forked worker, set by
@@ -162,11 +162,15 @@ def _input(cfg: PipelineConfig, name: str) -> tuple[Path | None, str]:
 
 def _files(cfg: PipelineConfig, names) -> list:
     """The files of each named input (None for one not given), checked to
-    exist. A synthetic run must hold one per frame, or one per frame pair
-    of flows. Every input is located before any is listed, so an unset
-    [ingest] key fails before a missing directory does.
+    exist and to agree in number: one per frame, or one per frame pair of
+    flows. A synthetic run has [pipeline] frames frames; an ingest run has
+    as many as the first listed input implies. Every input is located
+    before any is listed, so an unset [ingest] key fails before a missing
+    directory does, and every count is checked before any file is parsed.
     """
     listed = []
+    frames = cfg.frames if cfg.mode == "synthetic" else None
+    source = f"[pipeline] frames = {cfg.frames} needs"
     for name, (path, hint) in [(name, _input(cfg, name)) for name in names]:
         pattern = _INPUTS[name][0]
         if path is None:
@@ -181,18 +185,41 @@ def _files(cfg: PipelineConfig, names) -> list:
             files = sorted(path.glob(pattern))
             if not files:
                 raise DataError(f"missing input: no {pattern} files under {path} ({hint})")
-            expected = cfg.frames - (name == "flows")
-            if cfg.mode == "synthetic" and len(files) != expected:
+            if frames is None:
+                frames = len(files) + (name == "flows")
+                source = f"{len(files)} {pattern} files under {path} need"
+            expected = frames - (name == "flows")
+            if len(files) != expected:
                 raise DataError(f"{len(files)} {pattern} files under {path}, but "
-                                f"[pipeline] frames = {cfg.frames} needs {expected}")
+                                f"{source} {expected}")
         listed.append(files)
     return listed
 
 
+class _Parsed:
+    """The files of one input, each parsed only when iteration reaches it,
+    so a stage that streams holds one at a time. Every pass reads anew."""
+
+    def __init__(self, files: list, parse):
+        self.files, self.parse = files, parse
+
+    def __len__(self) -> int:
+        return len(self.files)
+
+    def __iter__(self):
+        return map(self.parse, self.files)
+
+
+def _stream(cfg: PipelineConfig, *names) -> list:
+    """Each named input as a lazy sequence of its parsed files; None for
+    one not given. Nothing is parsed until a sequence is iterated."""
+    return [None if files is None else _Parsed(files, _INPUTS[name][1])
+            for name, files in zip(names, _files(cfg, names))]
+
+
 def _read(cfg: PipelineConfig, *names) -> list:
     """Each named input parsed, one value per file; None for one not given."""
-    return [None if files is None else [_INPUTS[name][1](f) for f in files]
-            for name, files in zip(names, _files(cfg, names))]
+    return [None if parsed is None else list(parsed) for parsed in _stream(cfg, *names)]
 
 
 def _config_digest(cfg: PipelineConfig) -> str:
@@ -274,20 +301,23 @@ def cmd_flow(cfg: PipelineConfig):
 
 def cmd_correct(cfg: PipelineConfig):
     """Warp every frame by its pseudo-label correction flow."""
-    corrected = correct_sequence(*_read(cfg, "frames", "pseudo"))
+    frames, pseudo = _stream(cfg, "frames", "pseudo")
+    # One frame at a time, but nothing is written until the last frame is
+    # encoded, so a bad input file leaves --out as it was.
+    blobs = [write_ppm(warp_backward(frame, f)) for frame, f in zip(frames, pseudo)]
     out_dir = _out_root(cfg) / "corrected"
     out_dir.mkdir(exist_ok=True)
-    for t, frame in enumerate(corrected):
-        (out_dir / f"{t:06d}.ppm").write_bytes(write_ppm(frame))
+    for t, blob in enumerate(blobs):
+        (out_dir / f"{t:06d}.ppm").write_bytes(blob)
 
 
 def cmd_trajectory(cfg: PipelineConfig):
     """Derive the correction trajectory; emit its CSV and spectrum."""
-    series = trajectory_of_sequence(*_read(cfg, "pseudo", "flows"))
+    fits = frame_fits(trajectory_steps(*_stream(cfg, "pseudo", "flows")))
     root = _out_root(cfg)
-    (root / "trajectory.csv").write_text(trajectory_csv(series))
-    if series.n_frames >= MIN_STABILITY_FRAMES:
-        (root / "spectrum.csv").write_text(spectrum_csv(series))
+    (root / "trajectory.csv").write_text(trajectory_csv(fits))
+    if len(fits) >= MIN_STABILITY_FRAMES:
+        (root / "spectrum.csv").write_text(spectrum_csv(fits))
 
 
 def cmd_adapt(cfg: PipelineConfig):
@@ -306,10 +336,13 @@ def cmd_adapt(cfg: PipelineConfig):
     (root / "loss_history.csv").write_text(adapt_history_csv(history))
 
 
-def _annotation_scores(anns, pseudo0: FlowField):
+def _annotation_scores(anns, pseudo):
+    """Line and shape scores before and after pseudo-label 0 corrects the
+    annotated points; the other pseudo-labels are never read."""
     if anns is None:
         return None, None, None, None
     [ann] = anns
+    pseudo0 = next(iter(pseudo))
     lines_obs, lines_corr = [], []
     for line in ann.lines:
         if line.out_of_frame:
@@ -332,17 +365,18 @@ def _annotation_scores(anns, pseudo0: FlowField):
 
 
 def _metric_documents(cfg: PipelineConfig) -> dict:
-    [pseudo] = _read(cfg, "pseudo")
+    [pseudo] = _stream(cfg, "pseudo")
     check_low_band(cfg.low_band, len(pseudo))
-    fwd, ann = _read(cfg, "flows", "annotations")
-    [adapted] = _read(cfg, "adapted") if cfg.adapt is not None else [None]
-    line_b, line_a, shape_b, shape_a = _annotation_scores(ann, pseudo[0])
-    stab_before = stab_after = None
+    # Listed again beside the other inputs, so that their counts are checked
+    # against it before anything is parsed.
+    names = ("pseudo", "flows", "annotations") + (("adapted",) if cfg.adapt is not None else ())
+    pseudo, fwd, ann, *adapted = _stream(cfg, *names)
+    line_b, line_a, shape_b, shape_a = _annotation_scores(ann, pseudo)
+    stability = [None]
     if len(pseudo) >= MIN_STABILITY_FRAMES:
-        stab_before = stab_after = stability_score(trajectory_of_sequence(pseudo, fwd),
-                                                   cfg.low_band)
-        if adapted is not None:
-            stab_after = stability_score(trajectory_of_sequence(adapted, fwd), cfg.low_band)
+        stability = [stability_score(frame_fits(trajectory_steps(fields, fwd)), cfg.low_band)
+                     for fields in (pseudo, *adapted)]
+    stab_before, stab_after = stability[0], stability[-1]
     provenance = {
         "mode": cfg.mode,
         "frames": str(len(pseudo)),

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DataError, ShapeError
-from .trajectory import TrajectorySeries, fit_similarity
+from .trajectory import fits_of
 
 DEFAULT_LOW_BAND = (2, 6)
 
@@ -108,20 +108,20 @@ def shape_acc(ref, corr) -> float:
     return float(np.clip(100.0 * cosine, 0.0, 100.0))
 
 
-def stability_series(series: TrajectorySeries) -> tuple[np.ndarray, np.ndarray]:
-    """Per-frame similarity-fit series: translation magnitude and rotation."""
-    trans = np.empty(series.positions.shape[0])
-    rot = np.empty_like(trans)
-    for t in range(series.positions.shape[0]):
-        tx, ty, theta, _ = fit_similarity(series.positions[t])
-        trans[t] = np.hypot(tx, ty)
-        rot[t] = theta
+def stability_series(trajectory) -> tuple[np.ndarray, np.ndarray]:
+    """Per-frame similarity-fit series: translation magnitude and rotation.
+
+    trajectory: a TrajectorySeries or its per-frame fits (frame_fits).
+    """
+    fits = fits_of(trajectory)
+    trans = np.array([np.hypot(fit.tx, fit.ty) for fit in fits], dtype=np.float64)
+    rot = np.array([fit.theta for fit in fits], dtype=np.float64)
     return trans, rot
 
 
-def _spectra(series: TrajectorySeries) -> tuple[np.ndarray, np.ndarray]:
+def _spectra(trajectory) -> tuple[np.ndarray, np.ndarray]:
     """Per-bin spectral energy of the translation and rotation series."""
-    trans, rot = stability_series(series)
+    trans, rot = stability_series(trajectory)
     return np.abs(np.fft.rfft(trans)) ** 2, np.abs(np.fft.rfft(rot)) ** 2
 
 
@@ -155,7 +155,7 @@ def check_low_band(low_band: tuple[int, int], n_frames: int | None = None) -> No
         )
 
 
-def stability_score(series: TrajectorySeries,
+def stability_score(trajectory,
                     low_band: tuple[int, int] = DEFAULT_LOW_BAND) -> StabilityReport:
     """Low-frequency energy fraction of the warping trajectory.
 
@@ -163,22 +163,27 @@ def stability_score(series: TrajectorySeries,
     field, then scores the translation-magnitude and rotation series by
     the energy in bins low_band[0]..low_band[1] relative to bins
     2..floor(N/2). A series with no energy above bin 1 scores 1. The band
-    must pass check_low_band for the series' frame count.
+    must pass check_low_band for the series' frame count. trajectory: a
+    TrajectorySeries or its per-frame fits (frame_fits).
     """
-    n = series.positions.shape[0]
+    fits = fits_of(trajectory)
+    n = len(fits)
     check_low_band(low_band, n)
     if n < MIN_STABILITY_FRAMES:
         raise ShapeError(f"stability needs >= {MIN_STABILITY_FRAMES} frames, got {n}")
-    et, er = _spectra(series)
+    et, er = _spectra(fits)
     t_score = _band_score(et, low_band)
     r_score = _band_score(er, low_band)
     return StabilityReport(avg=0.5 * (t_score + r_score),
                            translational=t_score, rotational=r_score)
 
 
-def spectrum_csv(series: TrajectorySeries) -> str:
-    """Per-bin spectral energy of both stability series, for plotting."""
-    et, er = _spectra(series)
+def spectrum_csv(trajectory) -> str:
+    """Per-bin spectral energy of both stability series, for plotting.
+
+    trajectory: a TrajectorySeries or its per-frame fits (frame_fits).
+    """
+    et, er = _spectra(trajectory)
     lines = ["bin,translational,rotational"]
     for k in range(et.shape[0]):
         lines.append(f"{k},{float(et[k])!r},{float(er[k])!r}")

@@ -10,7 +10,9 @@ field makes frame t's corrected pixel read.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -75,7 +77,9 @@ def backward_residuals(f_seq, f_fwd_seq, with_slopes: bool = False):
     """Backward residual of each consecutive pair, one pair at a time.
 
     Yields, for t = 1..N-1, r(t+1) = f_fwd(p + F_t(p)) + F_t(p) - F_{t+1}(p)
-    as a (u, v) pair of (H, W) arrays. Both inter-frame flow channels are
+    as a (u, v) pair of (H, W) arrays. Both inputs are iterated once, so
+    they may produce their fields as they go; callers check that there is
+    one inter-frame flow per pair. Both inter-frame flow channels are
     sampled once, through one shared bilinear stencil. With with_slopes,
     each item is (residual, slopes), where slopes holds
     ((du/dx, du/dy), (dv/dx, dv/dy)): the derivatives of the sampled
@@ -83,7 +87,9 @@ def backward_residuals(f_seq, f_fwd_seq, with_slopes: bool = False):
     clamped border pinned the position.
     """
     grid = None
-    for f_t, f_t1, f_fwd in zip(f_seq, f_seq[1:], f_fwd_seq):
+    fields = iter(f_seq)
+    f_t = next(fields, None)
+    for f_t1, f_fwd in zip(fields, f_fwd_seq):
         _require(f_t, Direction.BACKWARD, "F_t")
         _require(f_t1, Direction.BACKWARD, "F_t1")
         _require(f_fwd, Direction.FORWARD, "f_fwd")
@@ -97,6 +103,7 @@ def backward_residuals(f_seq, f_fwd_seq, with_slopes: bool = False):
             moved += ch_t
             moved -= ch_t1
         yield (residual, tuple(s[1:] for s in sampled)) if with_slopes else residual
+        f_t = f_t1
 
 
 def residual_backward(f_t: FlowField, f_t1: FlowField, f_fwd: FlowField) -> np.ndarray:
@@ -111,29 +118,41 @@ def residual_backward(f_t: FlowField, f_t1: FlowField, f_fwd: FlowField) -> np.n
     return np.stack(residual, axis=-1)
 
 
+def _prefix_sums(residuals):
+    """Yield (r(t), R(t)) with R(1) = r(1) = 0 and R(t) = R(t-1) + r(t),
+    an exact ascending prefix sum, one (H, W, 2) residual at a time."""
+    pos = None
+    for r in residuals:
+        if pos is None:
+            if np.any(r != 0.0):
+                raise ContractError("first residual must be identically zero")
+            pos = r.copy()
+        else:
+            pos = pos + r
+        yield r, pos
+
+
 def accumulate(residuals) -> TrajectorySeries:
     """Prefix-sum residuals into positions; the leading residual must be zero."""
     r = np.stack([np.asarray(x, dtype=np.float64) for x in residuals], axis=0)
     if r.ndim != 4 or r.shape[3] != 2:
         raise ShapeError(f"residuals must be (H, W, 2) fields, got stacked shape {r.shape}")
-    if np.any(r[0] != 0.0):
-        raise ContractError("first residual must be identically zero")
-    positions = np.empty_like(r)
-    positions[0] = r[0]
-    for t in range(1, r.shape[0]):
-        positions[t] = positions[t - 1] + r[t]
+    positions = np.stack([pos for _, pos in _prefix_sums(r)], axis=0)
     return TrajectorySeries(residuals=r, positions=positions)
 
 
-def trajectory_of_sequence(f_seq, f_fwd_seq) -> TrajectorySeries:
-    """Trajectory of a corrected sequence from its flows.
+def trajectory_steps(f_seq, f_fwd_seq):
+    """The trajectory of a corrected sequence, one frame at a time.
 
     f_seq: N backward correction fields; f_fwd_seq: N-1 forward
-    inter-frame flows (t -> t+1). Residuals use the backward formulation;
-    a single-frame sequence yields the trivial zero series.
+    inter-frame flows (t -> t+1). Both need a length and one pass of
+    iteration, so they may parse their fields as they go: the generator
+    holds two correction fields, one flow and one residual and position
+    at a time. Yields (r(t), R(t)) as (H, W, 2) arrays for t = 1..N:
+    r(1) is zero, later residuals use the backward formulation and R(t)
+    is the prefix sum of accumulate. The counts are checked before the
+    first field is read.
     """
-    f_seq = list(f_seq)
-    f_fwd_seq = list(f_fwd_seq)
     if len(f_seq) < 1:
         raise ShapeError("need at least one correction field")
     if len(f_fwd_seq) != len(f_seq) - 1:
@@ -141,10 +160,21 @@ def trajectory_of_sequence(f_seq, f_fwd_seq) -> TrajectorySeries:
             f"{len(f_seq)} correction fields need {len(f_seq) - 1} inter-frame flows, "
             f"got {len(f_fwd_seq)}"
         )
-    h, w = f_seq[0].shape
-    residuals = [np.zeros((h, w, 2))]
-    residuals += [np.stack(r, axis=-1) for r in backward_residuals(f_seq, f_fwd_seq)]
-    return accumulate(residuals)
+    fields = iter(f_seq)
+    first = next(fields)
+    residuals = (np.stack(r, axis=-1)
+                 for r in backward_residuals(itertools.chain([first], fields), f_fwd_seq))
+    yield from _prefix_sums(itertools.chain([np.zeros(first.shape + (2,))], residuals))
+
+
+def trajectory_of_sequence(f_seq, f_fwd_seq) -> TrajectorySeries:
+    """Trajectory of a corrected sequence from its flows: every step of
+    trajectory_steps, stacked. A single-frame sequence yields the trivial
+    zero series.
+    """
+    steps = list(trajectory_steps(list(f_seq), list(f_fwd_seq)))
+    return TrajectorySeries(residuals=np.stack([r for r, _ in steps], axis=0),
+                            positions=np.stack([pos for _, pos in steps], axis=0))
 
 
 def fit_similarity(field) -> tuple[float, float, float, float]:
@@ -175,16 +205,47 @@ def fit_similarity(field) -> tuple[float, float, float, float]:
     return tx, ty, float(np.arctan2(b, a)), float(np.hypot(a, b))
 
 
-def trajectory_csv(series: TrajectorySeries) -> str:
-    """CSV summary: per frame the mean residual and the similarity fit of R(t)."""
-    rows = ["t,mean_rx,mean_ry,tx,ty,theta"]
+class FrameFit(NamedTuple):
+    """One frame of a trajectory: the interior mean of r(t) and the
+    similarity fit of R(t). Every per-frame output is built from these."""
+
+    mean_rx: float
+    mean_ry: float
+    tx: float
+    ty: float
+    theta: float
+
+
+def frame_fits(steps) -> list[FrameFit]:
+    """The FrameFit of each (r(t), R(t)) pair, as trajectory_steps yields them.
+
+    The residual mean leaves out a _SUMMARY_MARGIN border, which clamped
+    resampling biases, unless the field is too small to have an interior.
+    """
     m = _SUMMARY_MARGIN
-    for t in range(series.n_frames):
-        r = series.residuals[t]
+    fits = []
+    for r, pos in steps:
         inner = r[m:-m, m:-m, :] if min(r.shape[0], r.shape[1]) > 2 * m else r
-        tx, ty, theta, _ = fit_similarity(series.positions[t])
-        rows.append(
-            f"{t + 1},{float(inner[..., 0].mean())!r},{float(inner[..., 1].mean())!r},"
-            f"{tx!r},{ty!r},{theta!r}"
-        )
+        tx, ty, theta, _ = fit_similarity(pos)
+        fits.append(FrameFit(float(inner[..., 0].mean()), float(inner[..., 1].mean()),
+                             tx, ty, theta))
+    return fits
+
+
+def fits_of(trajectory) -> list[FrameFit]:
+    """The per-frame fits of a TrajectorySeries; a sequence of FrameFit,
+    as frame_fits returns, passes through as a list."""
+    if isinstance(trajectory, TrajectorySeries):
+        return frame_fits(zip(trajectory.residuals, trajectory.positions))
+    return list(trajectory)
+
+
+def trajectory_csv(trajectory) -> str:
+    """CSV summary: per frame the mean residual and the similarity fit of R(t).
+
+    trajectory: a TrajectorySeries or its per-frame fits.
+    """
+    rows = ["t,mean_rx,mean_ry,tx,ty,theta"]
+    for t, fit in enumerate(fits_of(trajectory)):
+        rows.append(f"{t + 1},{fit.mean_rx!r},{fit.mean_ry!r},{fit.tx!r},{fit.ty!r},{fit.theta!r}")
     return "\n".join(rows) + "\n"

@@ -1,20 +1,24 @@
 """Tests for config parsing and the pipeline CLI."""
 
 import configparser
+import dataclasses
 import io
 import json
 import multiprocessing
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from rectiflow import ConfigError, DataError, Frame, cli, config
+from rectiflow import ConfigError, DataError, Direction, Frame, cli, config
 from rectiflow.cli import main
 from rectiflow.config import load_config
+from rectiflow.interflow import read_flo
+from rectiflow.metrics import spectrum_csv, stability_score
 from rectiflow.pnm import mask_to_pgm, write_ppm
 from rectiflow.synth import (
     JitterProfile,
@@ -22,6 +26,7 @@ from rectiflow.synth import (
     jitter_signal,
     jittered_face_masks,
 )
+from rectiflow.trajectory import trajectory_csv, trajectory_of_sequence
 
 _SMALL = """
 [pipeline]
@@ -247,6 +252,28 @@ def test_flow_count_mismatch_fails_before_creating_out(tmp_path, capsys, command
     assert "data error" in capsys.readouterr().err
     assert not out.exists()
 
+
+def _copy_dir(src: Path, dest: Path) -> Path:
+    dest.mkdir()
+    for path in src.iterdir():
+        (dest / path.name).write_bytes(path.read_bytes())
+    return dest
+
+
+@pytest.mark.parametrize("command", ["correct", "pipeline"])
+def test_ingest_count_mismatch_fails_before_writing(tmp_path, capsys, command):
+    """9 pseudo-labels for 8 frames: the stage names both counts before it
+    parses or writes anything (a pipeline used to write flows/ first)."""
+    src = tmp_path / "src"
+    assert main(["synth", "--config", str(_write_config(tmp_path)), "--out", str(src)]) == 0
+    pseudo = _copy_dir(src / "pseudo", tmp_path / "pseudo")
+    (pseudo / "000008.flo").write_bytes((pseudo / "000000.flo").read_bytes())
+    cfg = _write_config(tmp_path, _ingest_text(src, pseudo_dir=pseudo), "ingest.ini")
+    out = tmp_path / "run"
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == 3
+    assert (f"9 *.flo files under {pseudo}, but 8 *.ppm files under {src / 'frames'} need 8"
+            in capsys.readouterr().err)
+    assert not out.exists()
 
 def test_low_band_that_scores_every_bin_or_none_fails_at_load(tmp_path, capsys):
     """A 12-frame synthetic run scores bins 2..6: the default band (2, 6)
@@ -666,3 +693,83 @@ def test_shorter_synthetic_rerun_fails_on_the_longer_runs_frames(tmp_path, capsy
     assert "10 *.ppm files" in capsys.readouterr().err
     assert _run_dir_bytes(out / "flows") == flows
     assert (out / "metrics.json").read_bytes() == metrics
+
+
+def _stage_peaks(tmp_path, frames: int) -> dict:
+    """tracemalloc peak of each streamed stage on an adapting synthetic run."""
+    text = _SMALL.replace("frames = 8", f"frames = {frames}").replace("max_iters = 40",
+                                                                       "max_iters = 2")
+    path = _write_config(tmp_path, text, f"f{frames}.ini")
+    out = tmp_path / f"f{frames}"
+    for command in ("synth", "adapt"):
+        assert main([command, "--config", str(path), "--out", str(out)]) == 0
+    cfg = load_config(path, out=str(out))
+    peaks = {}
+    for stage in (cli.cmd_correct, cli.cmd_trajectory, cli.cmd_metrics):
+        tracemalloc.start()
+        try:
+            stage(cfg)
+            peaks[stage.__name__] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    return peaks
+
+
+def test_streamed_stages_hold_one_frame_at_a_time(tmp_path):
+    """correct, trajectory and metrics read, warp or fit one frame at a time:
+    doubling the clip from 8 to 16 frames grows their peak allocation by
+    no more than the encoded frames correct keeps until it writes, plus
+    less than one correction field."""
+    at8, at16 = _stage_peaks(tmp_path, 8), _stage_peaks(tmp_path, 16)
+    ppm_bytes = len((tmp_path / "f8" / "corrected" / "000000.ppm").read_bytes())
+    field_bytes = 48 * 48 * 2 * 8
+    allowed = (16 - 8) * ppm_bytes + field_bytes
+    for stage, peak in at8.items():
+        assert at16[stage] - peak < allowed, (stage, peak, at16[stage])
+
+
+def test_bad_pseudo_label_mid_run_leaves_out_as_it_was(tmp_path, capsys):
+    """A non-finite pseudo-label in the middle of an ingest correct run
+    exits 3 before a corrected frame is written."""
+    src = tmp_path / "src"
+    assert main(["synth", "--config", str(_write_config(tmp_path)), "--out", str(src)]) == 0
+    pseudo = _copy_dir(src / "pseudo", tmp_path / "pseudo")
+    cfg = _write_config(tmp_path, _ingest_text(src, pseudo_dir=pseudo), "ingest.ini")
+    out = tmp_path / "run"
+    assert main(["correct", "--config", str(cfg), "--out", str(out)]) == 0
+    before = _run_dir_bytes(out)
+    blob = bytearray((pseudo / "000004.flo").read_bytes())
+    blob[-4:] = np.array([np.nan], dtype="<f4").tobytes()
+    (pseudo / "000004.flo").write_bytes(bytes(blob))
+    assert main(["correct", "--config", str(cfg), "--out", str(out)]) == 3
+    assert "non-finite" in capsys.readouterr().err
+    assert _run_dir_bytes(out) == before
+
+
+@pytest.mark.parametrize("mode", ["synthetic", "ingest"])
+def test_streamed_outputs_equal_the_library_path(tmp_path, mode):
+    """trajectory.csv, spectrum.csv and the stability of metrics.json equal,
+    bit for bit, what trajectory_of_sequence and stability_score give."""
+    small = _write_config(tmp_path)
+    if mode == "synthetic":
+        cfg, out, flows = small, tmp_path / "run", "flows_gt"
+    else:
+        src = tmp_path / "src"
+        assert main(["synth", "--config", str(small), "--out", str(src)]) == 0
+        cfg = _write_config(tmp_path, _ingest_text(src), "ingest.ini")
+        out, flows = tmp_path / "run", "flows"
+    assert main(["pipeline", "--config", str(cfg), "--out", str(out)]) == 0
+    pseudo_root = out if mode == "synthetic" else tmp_path / "src"
+    pseudo = [read_flo(p.read_bytes(), Direction.BACKWARD)
+              for p in sorted((pseudo_root / "pseudo").glob("*.flo"))]
+    adapted = [read_flo(p.read_bytes(), Direction.BACKWARD)
+               for p in sorted((out / "adapted").glob("*.flo"))]
+    fwd = [read_flo(p.read_bytes(), Direction.FORWARD)
+           for p in sorted((out / flows).glob("*_fwd.flo"))]
+    series = trajectory_of_sequence(pseudo, fwd)
+    assert (out / "trajectory.csv").read_text() == trajectory_csv(series)
+    assert (out / "spectrum.csv").read_text() == spectrum_csv(series)
+    doc = json.loads((out / "metrics.json").read_text())
+    assert doc["before"]["stability"] == dataclasses.asdict(stability_score(series, (2, 3)))
+    after = stability_score(trajectory_of_sequence(adapted, fwd), (2, 3))
+    assert doc["after"]["stability"] == dataclasses.asdict(after)

@@ -8,9 +8,11 @@ from rectiflow.trajectory import (
     TrajectorySeries,
     accumulate,
     fit_similarity,
+    frame_fits,
     residual_backward,
     trajectory_csv,
     trajectory_of_sequence,
+    trajectory_steps,
 )
 
 
@@ -164,3 +166,59 @@ def test_trajectory_csv_shape():
     first = lines[1].split(",")
     assert first[0] == "1" and float(first[1]) == 0.0
     assert float(lines[2].split(",")[1]) == pytest.approx(0.5, abs=1e-12)
+
+
+class _Counted:
+    """A sized sequence that counts how many of its items were read."""
+
+    def __init__(self, items):
+        self.items, self.reads = items, 0
+
+    def __len__(self):
+        return len(self.items)
+
+    def __iter__(self):
+        for item in self.items:
+            self.reads += 1
+            yield item
+
+
+def _jittered(n):
+    from rectiflow.synth import (CameraSpec, JitterProfile, JitterSpec, apply_jitter,
+                                 default_scene, render_scene, stereographic_correction_flow)
+    cam = CameraSpec(width=32, height=32, focal_px=40.0)
+    frame, _ = render_scene(default_scene(cam, 2, 1, seed=4), cam, distorted=True)
+    _, flows = apply_jitter([frame] * n, JitterSpec(amplitude=1.0,
+                                                    profile=JitterProfile.WHITE_NOISE, seed=9))
+    return [stereographic_correction_flow(cam)] * n, flows
+
+
+def test_trajectory_steps_are_the_rows_of_the_series():
+    """The stream yields every (r(t), R(t)) of trajectory_of_sequence bit for
+    bit, reading each field and flow once, and its fits give the same CSV
+    and stability as the series."""
+    from rectiflow.metrics import spectrum_csv, stability_score
+    pseudo, flows = _jittered(9)
+    series = trajectory_of_sequence(pseudo, flows)
+    fields, fwd = _Counted(pseudo), _Counted(flows)
+    steps = list(trajectory_steps(fields, fwd))
+    assert (fields.reads, fwd.reads) == (9, 8)
+    assert len(steps) == series.n_frames
+    for (r, pos), r_ref, pos_ref in zip(steps, series.residuals, series.positions):
+        assert np.array_equal(r, r_ref) and np.array_equal(pos, pos_ref)
+    fits = frame_fits(steps)
+    assert trajectory_csv(fits) == trajectory_csv(series)
+    assert spectrum_csv(fits) == spectrum_csv(series)
+    assert stability_score(fits, (2, 3)) == stability_score(series, (2, 3))
+
+
+def test_trajectory_steps_check_counts_before_reading():
+    pseudo, flows = _jittered(4)
+    for n_flows in (2, 4):
+        fields, fwd = _Counted(pseudo), _Counted((flows * 2)[:n_flows])
+        with pytest.raises(ShapeError, match=f"4 correction fields need 3 inter-frame "
+                                             f"flows, got {n_flows}"):
+            next(trajectory_steps(fields, fwd))
+        assert fields.reads == fwd.reads == 0
+    with pytest.raises(ShapeError, match="at least one correction field"):
+        next(trajectory_steps([], []))
