@@ -26,8 +26,8 @@ _BACKTRACK = 0.5
 class AdaptParams:
     """Optimizer settings for adapt_sequence."""
 
-    lambda_temporal: float = 10.0
-    mu_mask: float = 1.0
+    lambda_temporal: float = LossWeights.lambda_temporal
+    mu_mask: float = LossWeights.mu_mask
     step_size: float = 0.25
     max_iters: int = 100
     tol: float = 1e-6

@@ -453,7 +453,7 @@ def main(argv=None) -> int:
         p.add_argument("--config", required=True, help="path to the INI config file")
         p.add_argument("--out", default=None, help="output directory (overrides config)")
         p.add_argument("--seed", type=int, default=None, help="seed (overrides config)")
-        p.add_argument("--threads", type=int, default=None,
+        p.add_argument("--threads", type=int, default=1,
                        help="worker processes (forked) for the flow estimates and "
                             "the synth renders; 1 runs everything in this process")
     args = parser.parse_args(argv)

@@ -40,11 +40,7 @@ class TrajectorySeries:
         p = np.asarray(self.positions, dtype=np.float64)
         if r.ndim != 4 or r.shape[3] != 2 or r.shape != p.shape:
             raise ShapeError(f"series must be matching (N, H, W, 2) arrays, got {r.shape} / {p.shape}")
-        if np.any(r[0] != 0.0):
-            raise ContractError("first residual must be identically zero")
-        acc = np.zeros_like(r[0])
-        for t in range(r.shape[0]):
-            acc = acc + r[t]
+        for t, (_, acc) in enumerate(_prefix_sums(r)):
             if not np.array_equal(p[t], acc):
                 raise ContractError(f"positions[{t}] is not the exact prefix sum of residuals")
         object.__setattr__(self, "residuals", r)
@@ -55,16 +51,17 @@ class TrajectorySeries:
         return self.residuals.shape[0]
 
     def mean_displacements(self) -> np.ndarray:
-        """Per-frame mean of R(t) over the interior, shape (N, 2).
+        """Per-frame mean of R(t) over the _interior, shape (N, 2)."""
+        return _interior(self.positions).mean(axis=(1, 2))
 
-        _SUMMARY_MARGIN drops border pixels biased by clamped resampling;
-        it is ignored when the field is too small to have an interior.
-        """
-        m = _SUMMARY_MARGIN
-        inner = self.positions
-        if min(inner.shape[1:3]) > 2 * m:
-            inner = inner[:, m:-m, m:-m, :]
-        return inner.mean(axis=(1, 2))
+
+def _interior(fields: np.ndarray) -> np.ndarray:
+    """(..., H, W, 2) fields without a _SUMMARY_MARGIN border, which clamped
+    resampling biases; whole when too small to have an interior."""
+    m = _SUMMARY_MARGIN
+    if min(fields.shape[-3:-1]) > 2 * m:
+        return fields[..., m:-m, m:-m, :]
+    return fields
 
 
 def _require(flow: FlowField, direction: Direction, name: str) -> FlowField:
@@ -217,15 +214,11 @@ class FrameFit(NamedTuple):
 
 
 def frame_fits(steps) -> list[FrameFit]:
-    """The FrameFit of each (r(t), R(t)) pair, as trajectory_steps yields them.
-
-    The residual mean leaves out a _SUMMARY_MARGIN border, which clamped
-    resampling biases, unless the field is too small to have an interior.
-    """
-    m = _SUMMARY_MARGIN
+    """The FrameFit of each (r(t), R(t)) pair, as trajectory_steps yields
+    them; the residual mean is taken over the _interior."""
     fits = []
     for r, pos in steps:
-        inner = r[m:-m, m:-m, :] if min(r.shape[0], r.shape[1]) > 2 * m else r
+        inner = _interior(r)
         tx, ty, theta, _ = fit_similarity(pos)
         fits.append(FrameFit(float(inner[..., 0].mean()), float(inner[..., 1].mean()),
                              tx, ty, theta))

@@ -15,9 +15,10 @@ import numpy as np
 import pytest
 
 from rectiflow import ConfigError, DataError, Direction, Frame, cli, config
+from rectiflow.adapt import AdaptParams
 from rectiflow.cli import main
 from rectiflow.config import load_config
-from rectiflow.interflow import read_flo
+from rectiflow.interflow import HSParams, read_flo
 from rectiflow.metrics import spectrum_csv, stability_score
 from rectiflow.pnm import mask_to_pgm, write_ppm
 from rectiflow.synth import (
@@ -172,6 +173,9 @@ _BAD_SETTINGS = [
     ("ingest", "flows_dir", "flows"),
     ("ingest", "pseudo_dir", "pseudo"),
     ("ingest", "annotations", "annotations.txt"),
+    ("pipeline", "seed", "-1"),
+    ("scene", "n_lines", "-1"),
+    ("scene", "n_faces", "-1"),
 ]
 
 
@@ -184,6 +188,53 @@ def test_bad_adapt_settings_fail_at_load_and_write_nothing(tmp_path, capsys,
     assert main(["pipeline", "--config", str(cfg), "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert "config error" in err and key in err
+    assert not out.exists()
+
+
+_INGEST_PATHS = _with_setting("ingest", "pseudo_dir", "pseudo",
+                              _with_setting("ingest", "frames_dir", "frames",
+                                            _with_setting("pipeline", "mode", "ingest")))
+_EMPTY_PATHS = [
+    ("out =", _with_setting("pipeline", "out", ""), []),
+    ("--out ''", _SMALL, ["--out", ""]),
+    *[(f"{key} =", _with_setting("ingest", key, "", _INGEST_PATHS), ["--out", "run"])
+      for key in ("frames_dir", "masks_dir", "flows_dir", "pseudo_dir", "annotations")],
+    ("--seed -1", _SMALL, ["--out", "run", "--seed", "-1"]),
+]
+
+
+@pytest.mark.parametrize("setting, text, flags", _EMPTY_PATHS,
+                         ids=[setting for setting, _, _ in _EMPTY_PATHS])
+def test_empty_path_or_negative_seed_flag_fails_at_load(tmp_path, capsys, monkeypatch,
+                                                        setting, text, flags):
+    """An empty path would mean the working directory; it and a negative
+    --seed exit 2 at load, naming the setting, and the directory stays empty."""
+    cfg = _write_config(tmp_path, text)
+    work = tmp_path / "work"
+    work.mkdir()
+    monkeypatch.chdir(work)
+    assert main(["pipeline", "--config", str(cfg), *flags]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and setting.split()[0] in err
+    assert list(work.iterdir()) == []
+
+
+def test_unset_flow_and_adapt_settings_take_the_class_defaults(tmp_path):
+    text = "[pipeline]\nseed = 1\n[metrics]\nlow_band = 2,3\n"
+    cfg = load_config(_write_config(tmp_path, text))
+    assert cfg.flow == HSParams() and cfg.adapt == AdaptParams()
+
+
+def test_adapt_settings_are_parsed_with_adaptation_off(tmp_path, capsys):
+    """[adapt] values are parsed whatever adaptation says; only their
+    range goes unchecked when adaptation is off."""
+    off = _with_setting("pipeline", "adaptation", "false")
+    ok = _write_config(tmp_path, _with_setting("adapt", "max_iters", "0", off), "ok.ini")
+    assert load_config(ok).adapt is None
+    bad = _write_config(tmp_path, _with_setting("adapt", "max_iters", "x", off), "bad.ini")
+    out = tmp_path / "run"
+    assert main(["pipeline", "--config", str(bad), "--out", str(out)]) == 2
+    assert "[adapt] max_iters = 'x' is not a valid integer" in capsys.readouterr().err
     assert not out.exists()
 
 
