@@ -14,6 +14,7 @@ import dataclasses
 import hashlib
 import json
 import os
+import shutil
 import sys
 from pathlib import Path
 
@@ -22,7 +23,7 @@ import numpy as np
 from . import __version__
 from .adapt import adapt_history_csv, adapt_sequence
 from .config import PipelineConfig, load_config
-from .errors import ConfigError, DataError, RectiflowError
+from .errors import ConfigError, DataError, FormatError, RectiflowError
 from .field import Direction, Mask, pull_points_through_flow, warp_backward
 from .interflow import estimate_flow, read_flo, write_flo
 from .metrics import (
@@ -106,12 +107,45 @@ def _run_dir(cfg: PipelineConfig) -> Path:
     return Path(cfg.out)
 
 
-def _out_root(cfg: PipelineConfig) -> Path:
-    # Stages call this only once their inputs are read, so a run that
-    # fails on its inputs leaves no --out behind.
+def _publish(cfg: PipelineConfig, outputs):
+    """Write one stage's outputs under --out: the only code that does.
+
+    outputs yields (name, content) pairs, each produced once the one before
+    it is written. content is a file's bytes or text, the (file name,
+    bytes) pairs of a directory, or None for an entry this run does not
+    have. Everything goes into --out/.partial, cleared first of what a
+    killed run left. Only after the last file does each entry replace the
+    old one whole, which moves into .partial/.old and goes with it. So a
+    stage that fails leaves --out as it was, and a rerun equals a fresh run.
+    """
     root = _run_dir(cfg)
-    root.mkdir(parents=True, exist_ok=True)
-    return root
+    fresh, done, scratch = not root.exists(), False, root / ".partial"
+    shutil.rmtree(scratch, ignore_errors=True)
+    (scratch / ".old").mkdir(parents=True)
+    try:
+        names = []
+        for name, content in outputs:
+            names.append(name)
+            if isinstance(content, str):
+                content = content.encode()
+            if isinstance(content, bytes):
+                (scratch / name).write_bytes(content)
+            elif content is not None:
+                (scratch / name).mkdir()
+                for file_name, blob in content:
+                    (scratch / name / file_name).write_bytes(blob)
+        for name in names:
+            for src, dest in ((root / name, scratch / ".old" / name), (scratch / name, root / name)):
+                if os.path.lexists(src):
+                    os.replace(src, dest)
+        done = True
+    finally:
+        shutil.rmtree(root if fresh and not done else scratch, ignore_errors=True)
+
+
+def _numbered(suffix: str, items):
+    """A directory's (file name, content) pairs, one per item from 000000."""
+    return ((f"{t:06d}{suffix}", item) for t, item in enumerate(items))
 
 
 # Each input a stage reads: the glob that lists its files (None: the input
@@ -198,7 +232,8 @@ def _files(cfg: PipelineConfig, names) -> list:
 
 class _Parsed:
     """The files of one input, each parsed only when iteration reaches it,
-    so a stage that streams holds one at a time. Every pass reads anew."""
+    so a stage that streams holds one at a time. Every pass reads anew, and
+    a file that does not parse is named in the error."""
 
     def __init__(self, files: list, parse):
         self.files, self.parse = files, parse
@@ -207,7 +242,11 @@ class _Parsed:
         return len(self.files)
 
     def __iter__(self):
-        return map(self.parse, self.files)
+        for path in self.files:
+            try:
+                yield self.parse(path)
+            except (RectiflowError, UnicodeDecodeError) as exc:
+                raise FormatError(f"malformed input file {path}: {exc}") from None
 
 
 def _stream(cfg: PipelineConfig, *names) -> list:
@@ -229,56 +268,41 @@ def _config_digest(cfg: PipelineConfig) -> str:
     return hashlib.sha256(blob).hexdigest()
 
 
-def _write_manifest(cfg: PipelineConfig, root: Path):
+def _write_manifest(cfg: PipelineConfig):
     doc = {
         "config_sha256": _config_digest(cfg),
         "package": __version__,
         "numpy": np.__version__,
     }
-    (root / "manifest.json").write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    _publish(cfg, [("manifest.json", json.dumps(doc, indent=2, sort_keys=True) + "\n")])
 
 
 def cmd_synth(cfg: PipelineConfig):
     """Render the scene, jitter it, and write every ground-truth artifact."""
     if cfg.mode != "synthetic":
         raise ConfigError("the synth stage requires [pipeline] mode = synthetic")
-    root = _out_root(cfg)
-    cam = cfg.camera
-    scene = default_scene(cam, n_lines=cfg.n_lines, n_faces=cfg.n_faces, seed=cfg.seed)
-    (ideal, _), (observed, ann) = _parallel_map(
-        lambda distorted: render_scene(scene, cam, distorted=distorted), (False, True),
-        cfg.threads)
-    (root / "ideal.ppm").write_bytes(write_ppm(ideal))
-    (root / "observed.ppm").write_bytes(write_ppm(observed))
-    (root / "annotations.txt").write_text(annotations_to_text(ann))
+    cam, n = cfg.camera, cfg.frames
 
-    n = cfg.frames
-    if n >= 2:
-        frames, fwd = apply_jitter([observed] * n, cfg.jitter)
-        dx, dy, th = jitter_signal(cfg.jitter, n)
-        gt_dir = root / "flows_gt"
-        gt_dir.mkdir(exist_ok=True)
-        for t, f in enumerate(fwd):
-            (gt_dir / f"{t:06d}_fwd.flo").write_bytes(write_flo(f))
-    else:
-        frames = [observed]
-        dx = dy = th = np.zeros(1)
+    def outputs():
+        scene = default_scene(cam, n_lines=cfg.n_lines, n_faces=cfg.n_faces, seed=cfg.seed)
+        (ideal, _), (observed, ann) = _parallel_map(
+            lambda distorted: render_scene(scene, cam, distorted=distorted), (False, True),
+            cfg.threads)
+        yield "ideal.ppm", write_ppm(ideal)
+        yield "observed.ppm", write_ppm(observed)
+        yield "annotations.txt", annotations_to_text(ann)
+        if n >= 2:
+            frames, fwd = apply_jitter([observed] * n, cfg.jitter)
+            dx, dy, th = jitter_signal(cfg.jitter, n)
+        else:
+            frames, fwd, (dx, dy, th) = [observed], None, [np.zeros(1)] * 3
+        yield "flows_gt", None if fwd is None else _numbered("_fwd.flo", map(write_flo, fwd))
+        yield "frames", _numbered(".ppm", map(write_ppm, frames))
+        yield "pseudo", _numbered(".flo", [write_flo(stereographic_correction_flow(cam))] * n)
+        masks = jittered_face_masks(ann.faces, cam, dx, dy, th)
+        yield "masks", _numbered(".pgm", map(mask_to_pgm, masks))
 
-    frames_dir = root / "frames"
-    frames_dir.mkdir(exist_ok=True)
-    for t, frame in enumerate(frames):
-        (frames_dir / f"{t:06d}.ppm").write_bytes(write_ppm(frame))
-
-    pseudo_dir = root / "pseudo"
-    pseudo_dir.mkdir(exist_ok=True)
-    pseudo_blob = write_flo(stereographic_correction_flow(cam))
-    for t in range(n):
-        (pseudo_dir / f"{t:06d}.flo").write_bytes(pseudo_blob)
-
-    masks_dir = root / "masks"
-    masks_dir.mkdir(exist_ok=True)
-    for t, mask in enumerate(jittered_face_masks(ann.faces, cam, dx, dy, th)):
-        (masks_dir / f"{t:06d}.pgm").write_bytes(mask_to_pgm(mask))
+    _publish(cfg, outputs())
 
 
 def cmd_flow(cfg: PipelineConfig):
@@ -286,38 +310,27 @@ def cmd_flow(cfg: PipelineConfig):
     [frames] = _read(cfg, "frames")
     if len(frames) < 2:
         raise DataError(f"flow estimation needs >= 2 frames, got {len(frames)}")
-    root = _out_root(cfg)
 
     # One job per pair and direction: job 2t is pair t's forward flow and
     # job 2t + 1 its backward flow, so the workers share equal jobs.
     jobs = [ab for a, b in zip(frames[:-1], frames[1:]) for ab in ((a, b), (b, a))]
     blobs = _parallel_map(lambda ab: write_flo(estimate_flow(*ab, cfg.flow)), jobs, cfg.threads)
-    flows_dir = root / "flows"
-    flows_dir.mkdir(exist_ok=True)
-    for t in range(len(frames) - 1):
-        (flows_dir / f"{t:06d}_fwd.flo").write_bytes(blobs[2 * t])
-        (flows_dir / f"{t:06d}_bwd.flo").write_bytes(blobs[2 * t + 1])
+    _publish(cfg, [("flows", [*_numbered("_fwd.flo", blobs[0::2]),
+                              *_numbered("_bwd.flo", blobs[1::2])])])
 
 
 def cmd_correct(cfg: PipelineConfig):
     """Warp every frame by its pseudo-label correction flow."""
     frames, pseudo = _stream(cfg, "frames", "pseudo")
-    # One frame at a time, but nothing is written until the last frame is
-    # encoded, so a bad input file leaves --out as it was.
-    blobs = [write_ppm(warp_backward(frame, f)) for frame, f in zip(frames, pseudo)]
-    out_dir = _out_root(cfg) / "corrected"
-    out_dir.mkdir(exist_ok=True)
-    for t, blob in enumerate(blobs):
-        (out_dir / f"{t:06d}.ppm").write_bytes(blob)
+    corrected = (write_ppm(warp_backward(frame, f)) for frame, f in zip(frames, pseudo))
+    _publish(cfg, [("corrected", _numbered(".ppm", corrected))])
 
 
 def cmd_trajectory(cfg: PipelineConfig):
     """Derive the correction trajectory; emit its CSV and spectrum."""
     fits = frame_fits(trajectory_steps(*_stream(cfg, "pseudo", "flows")))
-    root = _out_root(cfg)
-    (root / "trajectory.csv").write_text(trajectory_csv(fits))
-    if len(fits) >= MIN_STABILITY_FRAMES:
-        (root / "spectrum.csv").write_text(spectrum_csv(fits))
+    spectrum = spectrum_csv(fits) if len(fits) >= MIN_STABILITY_FRAMES else None
+    _publish(cfg, [("trajectory.csv", trajectory_csv(fits)), ("spectrum.csv", spectrum)])
 
 
 def cmd_adapt(cfg: PipelineConfig):
@@ -328,12 +341,8 @@ def cmd_adapt(cfg: PipelineConfig):
     if masks is None:
         masks = [Mask(values=np.ones(pseudo[0].shape, dtype=np.uint8))] * len(pseudo)
     adapted, history = adapt_sequence(pseudo, masks, fwd, cfg.adapt)
-    root = _out_root(cfg)
-    out_dir = root / "adapted"
-    out_dir.mkdir(exist_ok=True)
-    for t, f in enumerate(adapted):
-        (out_dir / f"{t:06d}.flo").write_bytes(write_flo(f))
-    (root / "loss_history.csv").write_text(adapt_history_csv(history))
+    _publish(cfg, [("adapted", _numbered(".flo", map(write_flo, adapted))),
+                   ("loss_history.csv", adapt_history_csv(history))])
 
 
 def _annotation_scores(anns, pseudo):
@@ -395,7 +404,7 @@ def cmd_metrics(cfg: PipelineConfig) -> dict:
     """Score the run: line/shape before vs after correction, stability
     before vs after adaptation."""
     doc = _metric_documents(cfg)
-    (_out_root(cfg) / "metrics.json").write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    _publish(cfg, [("metrics.json", json.dumps(doc, indent=2, sort_keys=True) + "\n")])
     return doc
 
 
@@ -434,7 +443,7 @@ def cmd_pipeline(cfg: PipelineConfig):
     if cfg.adapt is not None:
         cmd_adapt(cfg)
     doc = cmd_metrics(cfg)
-    (_out_root(cfg) / "summary.txt").write_text(_summary_text(doc))
+    _publish(cfg, [("summary.txt", _summary_text(doc))])
 
 
 # Each name runs cmd_<name>, looked up in the module globals at call time,
@@ -461,8 +470,7 @@ def main(argv=None) -> int:
         cfg = load_config(args.config, seed=args.seed, out=args.out,
                           threads=args.threads)
         globals()[f"cmd_{args.command}"](cfg)
-        # Every command resolved the output directory, so it exists now.
-        _write_manifest(cfg, Path(cfg.out))
+        _write_manifest(cfg)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -12,8 +12,8 @@ import configparser
 from dataclasses import dataclass
 from pathlib import Path
 
-from .errors import ConfigError, DataError, ShapeError
-from .synth import CameraSpec, JitterProfile, JitterSpec
+from .errors import ConfigError, DataError, DomainError, ShapeError
+from .synth import CameraSpec, JitterProfile, JitterSpec, distort_points
 from .interflow import HSParams
 from .adapt import AdaptParams
 from .metrics import DEFAULT_LOW_BAND, check_low_band
@@ -128,7 +128,7 @@ def load_config(path, seed: int | None = None, out: str | None = None,
     parser = configparser.ConfigParser(interpolation=None)
     try:
         parser.read_string(path.read_text())
-    except configparser.Error as exc:
+    except (configparser.Error, UnicodeDecodeError) as exc:
         raise ConfigError(f"malformed config file {path}: {exc}") from None
 
     # Every key the file sets is parsed, whether or not the run reads it.
@@ -170,6 +170,13 @@ def load_config(path, seed: int | None = None, out: str | None = None,
             raise ConfigError(f"[pipeline] frames must be >= 3 with adaptation, got {frames}")
     # An ingest run's frame count is known only once its inputs are listed.
     check_low_band(values["metrics"]["low_band"], frames if mode == "synthetic" else None)
+    camera = _build("[camera]", CameraSpec, **values["camera"])
+    if mode == "synthetic":  # synth's own check, at the corner pixel farthest from the centre
+        try:
+            distort_points([(0.0, 0.0)], camera)
+        except DomainError as exc:
+            raise ConfigError(f"invalid [camera] settings: focal_px = {camera.focal_px}: "
+                              f"{exc}") from None
 
     return PipelineConfig(
         mode=mode,
@@ -177,7 +184,7 @@ def load_config(path, seed: int | None = None, out: str | None = None,
         frames=frames,
         out=pipe["out"],
         threads=threads,
-        camera=_build("[camera]", CameraSpec, **values["camera"]),
+        camera=camera,
         **values["scene"],
         jitter=_build("[jitter]", JitterSpec, **jit | {"profile": _PROFILES[jit["profile"]],
                                                         "seed": pipe["seed"] + 1}),

@@ -16,7 +16,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import ContractError, DataError, DomainError, ShapeError
+from .errors import ContractError, DataError, DomainError, FormatError, ShapeError
 from .field import Direction, FlowField, Frame, Mask, make_grid, warp_backward
 
 _SUBGRID = (np.arange(4) + 0.5) / 4.0 - 0.5  # 4x4 supersampling offsets per pixel
@@ -524,13 +524,17 @@ def annotations_to_text(ann: SceneAnnotations) -> str:
 def annotations_from_text(text: str) -> SceneAnnotations:
     lines = []
     faces = []
-    for row in text.splitlines():
+    for number, row in enumerate(text.splitlines(), 1):
         row = row.strip()
         if not row:
             continue
         parts = row.split()
-        kind, flag, count = parts[0], bool(int(parts[1])), int(parts[2])
-        vals = np.array([float(v) for v in parts[3:]])
+        try:
+            kind, flag, count = parts[0], bool(int(parts[1])), int(parts[2])
+            vals = np.array([float(v) for v in parts[3:]])
+        except (IndexError, ValueError):
+            raise FormatError(f"annotation record on line {number} is not "
+                              "'kind flag count floats...'") from None
         if vals.size != 4 * count:
             raise DataError(f"annotation record expects {4 * count} floats, got {vals.size}")
         ideal = vals[: 2 * count].reshape(count, 2)
