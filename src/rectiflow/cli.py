@@ -10,6 +10,7 @@ codes: 0 success, 2 config error, 3 data error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import hashlib
 import json
@@ -108,32 +109,44 @@ def _run_dir(cfg: PipelineConfig) -> Path:
 
 
 def _publish(cfg: PipelineConfig, outputs):
-    """Write one stage's outputs under --out: the only code that does.
+    """Stage one stage's outputs in --out/.partial: the only code that writes.
 
     outputs yields (name, content) pairs, each produced once the one before
     it is written. content is a file's bytes or text, the (file name,
     bytes) pairs of a directory, or None for an entry this run does not
-    have. Everything goes into --out/.partial, cleared first of what a
-    killed run left. Only after the last file does each entry replace the
-    old one whole, which moves into .partial/.old and goes with it. So a
-    stage that fails leaves --out as it was, and a rerun equals a fresh run.
+    have, staged as an empty file of that name under .partial/.gone.
     """
+    scratch = _run_dir(cfg) / ".partial"
+    (scratch / ".gone").mkdir(parents=True, exist_ok=True)
+    for name, content in outputs:
+        if isinstance(content, str):
+            content = content.encode()
+        if isinstance(content, bytes):
+            (scratch / name).write_bytes(content)
+        elif content is None:
+            (scratch / ".gone" / name).touch()
+        else:
+            (scratch / name).mkdir()
+            for file_name, blob in content:
+                (scratch / name / file_name).write_bytes(blob)
+
+
+@contextlib.contextmanager
+def _one_commit(cfg: PipelineConfig):
+    """Change --out once, when the command run inside succeeds: the only
+    code that replaces or removes its entries. .partial is cleared first of
+    what a killed run left. Then for each name staged in .partial or
+    .partial/.gone, the old entry moves into .partial/.old and the new one,
+    if any, into place. .partial always goes, and --out too when the
+    command created it and failed."""
     root = _run_dir(cfg)
     fresh, done, scratch = not root.exists(), False, root / ".partial"
     shutil.rmtree(scratch, ignore_errors=True)
-    (scratch / ".old").mkdir(parents=True)
     try:
-        names = []
-        for name, content in outputs:
-            names.append(name)
-            if isinstance(content, str):
-                content = content.encode()
-            if isinstance(content, bytes):
-                (scratch / name).write_bytes(content)
-            elif content is not None:
-                (scratch / name).mkdir()
-                for file_name, blob in content:
-                    (scratch / name / file_name).write_bytes(blob)
+        yield
+        gone = scratch / ".gone"
+        names = [p.name for p in scratch.iterdir() if p != gone] + os.listdir(gone)
+        (scratch / ".old").mkdir()
         for name in names:
             for src, dest in ((root / name, scratch / ".old" / name), (scratch / name, root / name)):
                 if os.path.lexists(src):
@@ -141,6 +154,13 @@ def _publish(cfg: PipelineConfig, outputs):
         done = True
     finally:
         shutil.rmtree(root if fresh and not done else scratch, ignore_errors=True)
+
+
+def _entry(cfg: PipelineConfig, name: str) -> Path:
+    """Entry `name` as an earlier stage of this command staged it, else --out's."""
+    scratch = _run_dir(cfg) / ".partial"
+    staged = os.path.lexists(scratch / name) or os.path.lexists(scratch / ".gone" / name)
+    return (scratch if staged else scratch.parent) / name
 
 
 def _numbered(suffix: str, items):
@@ -180,9 +200,9 @@ def _input(cfg: PipelineConfig, name: str) -> tuple[Path | None, str]:
     has no line or shape scores.
     """
     if name == "adapted":
-        return _run_dir(cfg) / "adapted", "run the adapt stage first"
+        return _entry(cfg, "adapted"), "run the adapt stage first"
     if cfg.mode == "synthetic":
-        return _run_dir(cfg) / _SYNTH_PATHS[name], "run the synth stage first"
+        return _entry(cfg, _SYNTH_PATHS[name]), "run the synth stage first"
     key = _INGEST_KEYS[name]
     given = getattr(cfg, key)
     if given is not None:
@@ -190,7 +210,7 @@ def _input(cfg: PipelineConfig, name: str) -> tuple[Path | None, str]:
     if name in _REQUIRED:
         raise ConfigError(f"[ingest] {key} is required in ingest mode")
     if name == "flows":
-        return _run_dir(cfg) / "flows", "run the flow stage first"
+        return _entry(cfg, "flows"), "run the flow stage first"
     return None, f"[ingest] {key} is not set"
 
 
@@ -256,11 +276,6 @@ def _stream(cfg: PipelineConfig, *names) -> list:
             for name, files in zip(names, _files(cfg, names))]
 
 
-def _read(cfg: PipelineConfig, *names) -> list:
-    """Each named input parsed, one value per file; None for one not given."""
-    return [None if parsed is None else list(parsed) for parsed in _stream(cfg, *names)]
-
-
 def _config_digest(cfg: PipelineConfig) -> str:
     # out/threads do not change computed results and stay out of the hash.
     semantic = {k: v for k, v in vars(cfg).items() if k not in ("out", "threads")}
@@ -307,7 +322,7 @@ def cmd_synth(cfg: PipelineConfig):
 
 def cmd_flow(cfg: PipelineConfig):
     """Estimate forward and backward inter-frame flows for every pair."""
-    [frames] = _read(cfg, "frames")
+    frames = list(*_stream(cfg, "frames"))
     if len(frames) < 2:
         raise DataError(f"flow estimation needs >= 2 frames, got {len(frames)}")
 
@@ -337,40 +352,30 @@ def cmd_adapt(cfg: PipelineConfig):
     """Smooth the correction flows against their pseudo-labels."""
     if cfg.adapt is None:
         raise ConfigError("the adapt stage requires [pipeline] adaptation = true")
-    pseudo, fwd, masks = _read(cfg, "pseudo", "flows", "masks")
+    pseudo, fwd, masks = _stream(cfg, "pseudo", "flows", "masks")
+    pseudo, fwd = list(pseudo), list(fwd)
     if masks is None:
         masks = [Mask(values=np.ones(pseudo[0].shape, dtype=np.uint8))] * len(pseudo)
-    adapted, history = adapt_sequence(pseudo, masks, fwd, cfg.adapt)
+    adapted, history = adapt_sequence(pseudo, list(masks), fwd, cfg.adapt)
     _publish(cfg, [("adapted", _numbered(".flo", map(write_flo, adapted))),
                    ("loss_history.csv", adapt_history_csv(history))])
 
 
 def _annotation_scores(anns, pseudo):
-    """Line and shape scores before and after pseudo-label 0 corrects the
+    """(line, shape) scores before and after pseudo-label 0 corrects the
     annotated points; the other pseudo-labels are never read."""
     if anns is None:
-        return None, None, None, None
+        return [(None, None)] * 2
     [ann] = anns
     pseudo0 = next(iter(pseudo))
-    lines_obs, lines_corr = [], []
-    for line in ann.lines:
-        if line.out_of_frame:
-            continue
-        lines_obs.append(LineSample(points=line.points_image))
-        pulled = pull_points_through_flow(pseudo0, line.points_image)
-        lines_corr.append(LineSample(points=pulled))
-    line_before = line_acc(lines_obs) if lines_obs else None
-    line_after = line_acc(lines_corr) if lines_corr else None
-    shapes_before, shapes_after = [], []
-    for face in ann.faces:
-        if face.out_of_frame:
-            continue
-        shapes_before.append(shape_acc(face.landmarks_ideal, face.landmarks_image))
-        pulled = pull_points_through_flow(pseudo0, face.landmarks_image)
-        shapes_after.append(shape_acc(face.landmarks_ideal, pulled))
-    shape_before = float(np.mean(shapes_before)) if shapes_before else None
-    shape_after = float(np.mean(shapes_after)) if shapes_after else None
-    return line_before, line_after, shape_before, shape_after
+    lines = [line.points_image for line in ann.lines if not line.out_of_frame]
+    faces = [face for face in ann.faces if not face.out_of_frame]
+    scores = []
+    for move in (lambda points: points, lambda points: pull_points_through_flow(pseudo0, points)):
+        shapes = [shape_acc(face.landmarks_ideal, move(face.landmarks_image)) for face in faces]
+        scores.append((line_acc([LineSample(points=move(p)) for p in lines]) if lines else None,
+                       float(np.mean(shapes)) if shapes else None))
+    return scores
 
 
 def _metric_documents(cfg: PipelineConfig) -> dict:
@@ -380,7 +385,7 @@ def _metric_documents(cfg: PipelineConfig) -> dict:
     # against it before anything is parsed.
     names = ("pseudo", "flows", "annotations") + (("adapted",) if cfg.adapt is not None else ())
     pseudo, fwd, ann, *adapted = _stream(cfg, *names)
-    line_b, line_a, shape_b, shape_a = _annotation_scores(ann, pseudo)
+    (line_b, shape_b), (line_a, shape_a) = _annotation_scores(ann, pseudo)
     stability = [None]
     if len(pseudo) >= MIN_STABILITY_FRAMES:
         stability = [stability_score(frame_fits(trajectory_steps(fields, fwd)), cfg.low_band)
@@ -431,17 +436,15 @@ def cmd_pipeline(cfg: PipelineConfig):
     if cfg.mode == "synthetic":
         cmd_synth(cfg)
     else:
-        # The stages write --out as they go, so every input the config
-        # names is checked before the first of them runs.
-        named = [name for name, key in _INGEST_KEYS.items()
-                 if name in _REQUIRED or getattr(cfg, key) is not None]
-        listed = dict(zip(named, _files(cfg, named)))
-        check_low_band(cfg.low_band, len(listed["pseudo"]))
+        # Unset inputs and a band the clip cannot use fail before the flow stage.
+        check_low_band(cfg.low_band, len(_files(cfg, _REQUIRED)[1]))
     cmd_flow(cfg)
     cmd_correct(cfg)
     cmd_trajectory(cfg)
     if cfg.adapt is not None:
         cmd_adapt(cfg)
+    else:
+        _publish(cfg, [("adapted", None), ("loss_history.csv", None)])
     doc = cmd_metrics(cfg)
     _publish(cfg, [("summary.txt", _summary_text(doc))])
 
@@ -469,8 +472,9 @@ def main(argv=None) -> int:
     try:
         cfg = load_config(args.config, seed=args.seed, out=args.out,
                           threads=args.threads)
-        globals()[f"cmd_{args.command}"](cfg)
-        _write_manifest(cfg)
+        with _one_commit(cfg):
+            globals()[f"cmd_{args.command}"](cfg)
+            _write_manifest(cfg)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -680,17 +680,6 @@ def test_trajectory_stage_writes_csv_and_spectrum_only(tmp_path):
     assert set(manifest) == {"config_sha256", "package", "numpy"}
 
 
-def test_rerun_without_adaptation_ignores_adapted_flows_under_out(tmp_path):
-    """metrics reads adapted/ exactly when the config adapts, so a run with
-    adaptation off scores like a fresh one wherever it lands."""
-    off = _write_config(tmp_path, _SMALL.replace("adaptation = true", "adaptation = false"),
-                        "off.ini")
-    reused, fresh = tmp_path / "reused", tmp_path / "fresh"
-    assert main(["pipeline", "--config", str(_write_config(tmp_path)), "--out", str(reused)]) == 0
-    assert main(["pipeline", "--config", str(off), "--out", str(reused)]) == 0
-    assert main(["pipeline", "--config", str(off), "--out", str(fresh)]) == 0
-    assert (reused / "adapted").is_dir()
-    assert (reused / "metrics.json").read_bytes() == (fresh / "metrics.json").read_bytes()
 
 
 def _ingest_text(src: Path, **keys) -> str:
@@ -805,6 +794,67 @@ def test_rerun_too_short_for_a_spectrum_leaves_none(tmp_path):
     six = _write_config(tmp_path, _SMALL.replace("frames = 8", "frames = 6"), "six.ini")
     out = _rerun_equals_fresh(tmp_path, _write_config(tmp_path), six)
     assert not (out / "spectrum.csv").exists()
+
+
+def test_rerun_without_adaptation_ignores_adapted_flows_under_out(tmp_path):
+    """A pipeline with adaptation off removes an earlier run's adapted/ and
+    loss_history.csv, so it leaves what it leaves in a fresh --out."""
+    off = _write_config(tmp_path, _SMALL.replace("adaptation = true", "adaptation = false"),
+                        "off.ini")
+    out = _rerun_equals_fresh(tmp_path, _write_config(tmp_path), off)
+    assert not (out / "adapted").exists() and not (out / "loss_history.csv").exists()
+
+
+def test_pipeline_that_fails_midway_leaves_out_as_it_was(tmp_path, capsys, monkeypatch):
+    """An 8-frame pipeline after a 10-frame one fails in its adapt stage:
+    --out still holds the 10-frame run alone, manifest included."""
+    ten = _write_config(tmp_path, _SMALL.replace("frames = 8", "frames = 10"), "ten.ini")
+    out = tmp_path / "run"
+    assert main(["pipeline", "--config", str(ten), "--out", str(out)]) == 0
+    before = _run_dir_bytes(out)
+
+    def broken(*args):
+        raise DataError("adaptation failed")
+
+    monkeypatch.setattr(cli, "adapt_sequence", broken)
+    assert main(["pipeline", "--config", str(_write_config(tmp_path)), "--out", str(out)]) == 3
+    assert capsys.readouterr().err == "data error: adaptation failed\n"
+    assert _run_dir_bytes(out) == before
+
+
+@pytest.mark.parametrize("command", ["synth", "pipeline"])
+def test_failed_manifest_leaves_out_as_it_was(tmp_path, capsys, monkeypatch, command):
+    """The manifest is the last thing a command writes; when it fails, no
+    entry its stages wrote reaches --out."""
+    cfg = _write_config(tmp_path)
+    out = tmp_path / "run"
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == 0
+    before = _run_dir_bytes(out)
+
+    def broken(cfg):
+        raise DataError("manifest failed")
+
+    monkeypatch.setattr(cli, "_write_manifest", broken)
+    assert main([command, "--config", str(cfg), "--out", str(out), "--seed", "6"]) == 3
+    assert capsys.readouterr().err == "data error: manifest failed\n"
+    assert _run_dir_bytes(out) == before
+
+
+def test_pipelines_that_fail_after_a_stage_leave_no_out(tmp_path, capsys):
+    """A 1-frame synthetic pipeline fails at its flow stage, and a 2-frame
+    ingest one at its adapt stage, after earlier stages wrote: neither
+    leaves the --out it created."""
+    off = _SMALL.replace("adaptation = true", "adaptation = false")
+    one = _write_config(tmp_path, off.replace("frames = 8", "frames = 1"), "one.ini")
+    two = _write_config(tmp_path, off.replace("frames = 8", "frames = 2"), "two.ini")
+    src = tmp_path / "src"
+    assert main(["synth", "--config", str(two), "--out", str(src)]) == 0
+    ingest = _write_config(tmp_path, _ingest_text(src), "ingest.ini")
+    for cfg in (one, ingest):
+        out = tmp_path / f"run_{cfg.stem}"
+        assert main(["pipeline", "--config", str(cfg), "--out", str(out)]) == 3
+        assert capsys.readouterr().err.startswith("data error: ")
+        assert not out.exists()
 
 
 def test_stage_that_fails_midway_leaves_out_as_it_was(tmp_path, capsys, monkeypatch):
