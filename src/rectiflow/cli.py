@@ -23,14 +23,13 @@ import numpy as np
 
 from . import __version__
 from .adapt import adapt_history_csv, adapt_sequence
-from .config import PipelineConfig, load_config
+from .config import PipelineConfig, check_frame_count, load_config
 from .errors import ConfigError, DataError, FormatError, RectiflowError
 from .field import Direction, Mask, pull_points_through_flow, warp_backward
 from .interflow import estimate_flow, read_flo, write_flo
 from .metrics import (
     MIN_STABILITY_FRAMES,
     LineSample,
-    check_low_band,
     line_acc,
     shape_acc,
     spectrum_csv,
@@ -186,7 +185,6 @@ _SYNTH_PATHS = {"frames": "frames", "pseudo": "pseudo", "masks": "masks",
                 "flows": "flows_gt", "annotations": "annotations.txt"}
 _INGEST_KEYS = {"frames": "frames_dir", "pseudo": "pseudo_dir", "masks": "masks_dir",
                 "flows": "flows_dir", "annotations": "annotations"}
-_REQUIRED = ("frames", "pseudo")
 
 
 def _input(cfg: PipelineConfig, name: str) -> tuple[Path | None, str]:
@@ -207,8 +205,6 @@ def _input(cfg: PipelineConfig, name: str) -> tuple[Path | None, str]:
     given = getattr(cfg, key)
     if given is not None:
         return Path(given), f"[ingest] {key}"
-    if name in _REQUIRED:
-        raise ConfigError(f"[ingest] {key} is required in ingest mode")
     if name == "flows":
         return _entry(cfg, "flows"), "run the flow stage first"
     return None, f"[ingest] {key} is not set"
@@ -218,13 +214,12 @@ def _files(cfg: PipelineConfig, names) -> list:
     """The files of each named input (None for one not given), checked to
     exist and to agree in number: one per frame, or one per frame pair of
     flows. A synthetic run has [pipeline] frames frames; an ingest run has
-    as many as the first listed input implies. Every input is located
-    before any is listed, so an unset [ingest] key fails before a missing
-    directory does, and every count is checked before any file is parsed.
+    as many as the first listed input implies, and that count must pass
+    check_frame_count. Every input is located before any is listed, and
+    every count is checked before any file is parsed.
     """
     listed = []
-    frames = cfg.frames if cfg.mode == "synthetic" else None
-    source = f"[pipeline] frames = {cfg.frames} needs"
+    frames, source = cfg.frames, f"[pipeline] frames = {cfg.frames} needs"
     for name, (path, hint) in [(name, _input(cfg, name)) for name in names]:
         pattern = _INPUTS[name][0]
         if path is None:
@@ -241,6 +236,7 @@ def _files(cfg: PipelineConfig, names) -> list:
                 raise DataError(f"missing input: no {pattern} files under {path} ({hint})")
             if frames is None:
                 frames = len(files) + (name == "flows")
+                check_frame_count(cfg, frames, f"{pattern} files under {path}")
                 source = f"{len(files)} {pattern} files under {path} need"
             expected = frames - (name == "flows")
             if len(files) != expected:
@@ -379,10 +375,6 @@ def _annotation_scores(anns, pseudo):
 
 
 def _metric_documents(cfg: PipelineConfig) -> dict:
-    [pseudo] = _stream(cfg, "pseudo")
-    check_low_band(cfg.low_band, len(pseudo))
-    # Listed again beside the other inputs, so that their counts are checked
-    # against it before anything is parsed.
     names = ("pseudo", "flows", "annotations") + (("adapted",) if cfg.adapt is not None else ())
     pseudo, fwd, ann, *adapted = _stream(cfg, *names)
     (line_b, shape_b), (line_a, shape_a) = _annotation_scores(ann, pseudo)
@@ -435,9 +427,6 @@ def cmd_pipeline(cfg: PipelineConfig):
     """Run every stage in order and write a before/after summary."""
     if cfg.mode == "synthetic":
         cmd_synth(cfg)
-    else:
-        # Unset inputs and a band the clip cannot use fail before the flow stage.
-        check_low_band(cfg.low_band, len(_files(cfg, _REQUIRED)[1]))
     cmd_flow(cfg)
     cmd_correct(cfg)
     cmd_trajectory(cfg)

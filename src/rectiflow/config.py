@@ -46,9 +46,10 @@ _PARSERS = {
         _checked(lambda text: tuple(int(v) for v in text.split(",")), lambda v: len(v) == 2),
 }
 
-# A key with this default has a value only when the file sets it: seed is
-# then required, and a [flow], [losses] or [adapt] key takes the default of
-# HSParams or AdaptParams, the only copy of it.
+# A key with this default has a value only when the file sets it: [pipeline]
+# seed and [ingest] frames_dir and pseudo_dir are then required in the mode
+# that reads them, and a [flow], [losses] or [adapt] key takes the default
+# of HSParams or AdaptParams, the only copy of it.
 _NOT_SET = object()
 
 # section -> key -> (kind of value, default)
@@ -69,8 +70,17 @@ _SCHEMA = {
     "adapt": {"step_size": ("number", _NOT_SET), "max_iters": ("integer", _NOT_SET),
               "tol": ("number", _NOT_SET)},
     "metrics": {"low_band": ("pair of comma-separated integers", DEFAULT_LOW_BAND)},
-    "ingest": {key: ("non-empty path", None)
+    "ingest": {key: ("non-empty path", _NOT_SET if key in ("frames_dir", "pseudo_dir") else None)
                for key in ("frames_dir", "masks_dir", "flows_dir", "pseudo_dir", "annotations")},
+}
+
+# The keys that one mode alone reads, which a config of the other mode may
+# not set: only the synth stage reads the synthetic world.
+_MODE_KEYS = {
+    "synthetic": [("pipeline", "seed"), ("pipeline", "frames"),
+                  *((section, key) for section in ("camera", "scene", "jitter")
+                    for key in _SCHEMA[section])],
+    "ingest": [("ingest", key) for key in _SCHEMA["ingest"]],
 }
 
 _PROFILES = {"white_noise": JitterProfile.WHITE_NOISE,
@@ -82,26 +92,27 @@ class PipelineConfig:
     """Resolved, validated settings for one pipeline run.
 
     The stage parameter objects are built once, at load; adapt is None
-    exactly when [pipeline] adaptation = false.
+    exactly when [pipeline] adaptation = false. The fields of the keys that
+    only the other mode reads are None.
     """
 
     mode: str
-    seed: int
-    frames: int
     out: str | None
     threads: int
-    camera: CameraSpec
-    n_lines: int
-    n_faces: int
-    jitter: JitterSpec
     flow: HSParams
     adapt: AdaptParams | None
     low_band: tuple[int, int]
-    frames_dir: str | None
-    masks_dir: str | None
-    flows_dir: str | None
-    pseudo_dir: str | None
-    annotations: str | None
+    seed: int | None = None
+    frames: int | None = None
+    camera: CameraSpec | None = None
+    n_lines: int | None = None
+    n_faces: int | None = None
+    jitter: JitterSpec | None = None
+    frames_dir: str | None = None
+    masks_dir: str | None = None
+    flows_dir: str | None = None
+    pseudo_dir: str | None = None
+    annotations: str | None = None
 
 
 def _build(section: str, cls, **kwargs):
@@ -119,6 +130,17 @@ def _parse(where: str, text: str, kind: str):
         raise ConfigError(f"{where} {text!r} is not a valid {kind}") from None
 
 
+def check_frame_count(cfg: PipelineConfig, frames: int | None, source: str) -> None:
+    """Every rule on the frame count of cfg's run: adaptation needs >= 3
+    frames, and [metrics] low_band must score them (check_low_band).
+    frames is None in ingest mode, whose inputs decide the count:
+    load_config then checks the band alone, and cli._files the rest when it
+    first lists an input. source names what gave the count."""
+    if cfg.adapt is not None and frames is not None and frames < 3:
+        raise ConfigError(f"{source}: adaptation needs >= 3 frames, got {frames}")
+    check_low_band(cfg.low_band, frames)
+
+
 def load_config(path, seed: int | None = None, out: str | None = None,
                 threads: int = 1) -> PipelineConfig:
     """Parse and validate a config file; flag values override its contents."""
@@ -131,8 +153,8 @@ def load_config(path, seed: int | None = None, out: str | None = None,
     except (configparser.Error, UnicodeDecodeError) as exc:
         raise ConfigError(f"malformed config file {path}: {exc}") from None
 
-    # Every key the file sets is parsed, whether or not the run reads it.
-    given = {section: {} for section in _SCHEMA}
+    # Every key the file or a flag sets is parsed, whether or not the run reads it.
+    given, flags = {section: {} for section in _SCHEMA}, {}
     for section in parser.sections():
         if section not in _SCHEMA:
             raise ConfigError(f"unknown config section [{section}]")
@@ -143,53 +165,45 @@ def load_config(path, seed: int | None = None, out: str | None = None,
     for flag, key, value in (("--seed", "seed", seed), ("--out", "out", out)):
         if value is not None:
             given["pipeline"][key] = _parse(flag, str(value), _SCHEMA["pipeline"][key][0])
+            flags[key] = flag
     values = {section: {key: default for key, (_, default) in keys.items()
                         if default is not _NOT_SET} | given[section]
               for section, keys in _SCHEMA.items()}
 
     pipe, jit = values["pipeline"], values["jitter"]
     mode = pipe["mode"]
-    if mode not in ("synthetic", "ingest"):
+    if mode not in _MODE_KEYS:
         raise ConfigError(f"[pipeline] mode must be synthetic or ingest, got {mode!r}")
-    if mode == "synthetic" and given["ingest"]:
-        raise ConfigError(f"[ingest] {next(iter(given['ingest']))} is read only in ingest mode; "
-                          "remove it or set [pipeline] mode = ingest")
-    if "seed" not in pipe:
-        raise ConfigError("[pipeline] seed is required")
-    frames = pipe["frames"]
+    for owner, keys in _MODE_KEYS.items():
+        for section, key in keys:
+            if owner != mode and key in given[section]:
+                raise ConfigError(f"{flags.get(key, f'[{section}] {key}')} is read only in "
+                                  f"{owner} mode; remove it or set [pipeline] mode = {owner}")
+            if owner == mode and key not in values[section]:
+                raise ConfigError(f"[{section}] {key} is required in {mode} mode")
     if threads < 1:
         raise ConfigError(f"threads must be >= 1, got {threads}")
-    if jit["profile"] not in _PROFILES:
-        raise ConfigError(f"[jitter] profile must be one of {sorted(_PROFILES)}, "
-                          f"got {jit['profile']!r}")
 
-    adapt = None
-    if pipe["adaptation"]:
-        adapt = _build("[losses]/[adapt]", AdaptParams, **values["losses"], **values["adapt"])
-        if mode == "synthetic" and frames < 3:
-            raise ConfigError(f"[pipeline] frames must be >= 3 with adaptation, got {frames}")
-    # An ingest run's frame count is known only once its inputs are listed.
-    check_low_band(values["metrics"]["low_band"], frames if mode == "synthetic" else None)
-    camera = _build("[camera]", CameraSpec, **values["camera"])
-    if mode == "synthetic":  # synth's own check, at the corner pixel farthest from the centre
-        try:
+    world = {}
+    if mode == "synthetic":
+        if jit["profile"] not in _PROFILES:
+            raise ConfigError(f"[jitter] profile must be one of {sorted(_PROFILES)}, "
+                              f"got {jit['profile']!r}")
+        camera = _build("[camera]", CameraSpec, **values["camera"])
+        try:  # synth's own check, at the corner pixel farthest from the centre
             distort_points([(0.0, 0.0)], camera)
         except DomainError as exc:
             raise ConfigError(f"invalid [camera] settings: focal_px = {camera.focal_px}: "
                               f"{exc}") from None
-
-    return PipelineConfig(
-        mode=mode,
-        seed=pipe["seed"],
-        frames=frames,
-        out=pipe["out"],
-        threads=threads,
-        camera=camera,
-        **values["scene"],
-        jitter=_build("[jitter]", JitterSpec, **jit | {"profile": _PROFILES[jit["profile"]],
-                                                        "seed": pipe["seed"] + 1}),
-        flow=_build("[flow]", HSParams, **values["flow"]),
-        adapt=adapt,
-        low_band=values["metrics"]["low_band"],
-        **values["ingest"],
-    )
+        world = dict(seed=pipe["seed"], frames=pipe["frames"], camera=camera, **values["scene"],
+                     jitter=_build("[jitter]", JitterSpec,
+                                   **jit | {"profile": _PROFILES[jit["profile"]],
+                                            "seed": pipe["seed"] + 1}))
+    adapt = None
+    if pipe["adaptation"]:
+        adapt = _build("[losses]/[adapt]", AdaptParams, **values["losses"], **values["adapt"])
+    cfg = PipelineConfig(mode=mode, out=pipe["out"], threads=threads,
+                         flow=_build("[flow]", HSParams, **values["flow"]), adapt=adapt,
+                         low_band=values["metrics"]["low_band"], **world, **values["ingest"])
+    check_frame_count(cfg, cfg.frames, "[pipeline] frames")
+    return cfg

@@ -10,8 +10,8 @@ field makes frame t's corrected pixel read.
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -24,27 +24,24 @@ from .field import compose_displaced  # noqa: F401
 _SUMMARY_MARGIN = 2  # boundary pixels excluded from summaries to avoid clamp bias
 
 
-@dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True)
 class TrajectorySeries:
-    """Residuals r(t) and cumulative positions R(t), t = 1..N.
+    """Residuals r(t) and the cumulative positions R(t) derived from them,
+    t = 1..N.
 
-    Both are (N, H, W, 2) arrays. r(1) is identically zero and
+    Both are (N, H, W, 2) arrays. r(1) must be identically zero, and
     R(t) = sum of r(1..t) with exact ascending addition order.
     """
 
     residuals: np.ndarray
-    positions: np.ndarray
+    positions: np.ndarray = dataclasses.field(init=False)
 
     def __post_init__(self):
         r = np.asarray(self.residuals, dtype=np.float64)
-        p = np.asarray(self.positions, dtype=np.float64)
-        if r.ndim != 4 or r.shape[3] != 2 or r.shape != p.shape:
-            raise ShapeError(f"series must be matching (N, H, W, 2) arrays, got {r.shape} / {p.shape}")
-        for t, (_, acc) in enumerate(_prefix_sums(r)):
-            if not np.array_equal(p[t], acc):
-                raise ContractError(f"positions[{t}] is not the exact prefix sum of residuals")
+        if r.ndim != 4 or r.shape[3] != 2:
+            raise ShapeError(f"residuals must be an (N, H, W, 2) array, got {r.shape}")
         object.__setattr__(self, "residuals", r)
-        object.__setattr__(self, "positions", p)
+        object.__setattr__(self, "positions", np.stack([pos for _, pos in _prefix_sums(r)]))
 
     @property
     def n_frames(self) -> int:
@@ -131,11 +128,24 @@ def _prefix_sums(residuals):
 
 def accumulate(residuals) -> TrajectorySeries:
     """Prefix-sum residuals into positions; the leading residual must be zero."""
-    r = np.stack([np.asarray(x, dtype=np.float64) for x in residuals], axis=0)
-    if r.ndim != 4 or r.shape[3] != 2:
-        raise ShapeError(f"residuals must be (H, W, 2) fields, got stacked shape {r.shape}")
-    positions = np.stack([pos for _, pos in _prefix_sums(r)], axis=0)
-    return TrajectorySeries(residuals=r, positions=positions)
+    return TrajectorySeries(np.stack([np.asarray(x, dtype=np.float64) for x in residuals]))
+
+
+def _residual_stream(f_seq, f_fwd_seq):
+    """r(1) = 0 and then each backward residual r(t), as (H, W, 2) arrays;
+    the counts are checked before the first field is read."""
+    if len(f_seq) < 1:
+        raise ShapeError("need at least one correction field")
+    if len(f_fwd_seq) != len(f_seq) - 1:
+        raise ShapeError(
+            f"{len(f_seq)} correction fields need {len(f_seq) - 1} inter-frame flows, "
+            f"got {len(f_fwd_seq)}"
+        )
+    fields = iter(f_seq)
+    first = next(fields)
+    yield np.zeros(first.shape + (2,))
+    for r in backward_residuals(itertools.chain([first], fields), f_fwd_seq):
+        yield np.stack(r, axis=-1)
 
 
 def trajectory_steps(f_seq, f_fwd_seq):
@@ -150,28 +160,15 @@ def trajectory_steps(f_seq, f_fwd_seq):
     is the prefix sum of accumulate. The counts are checked before the
     first field is read.
     """
-    if len(f_seq) < 1:
-        raise ShapeError("need at least one correction field")
-    if len(f_fwd_seq) != len(f_seq) - 1:
-        raise ShapeError(
-            f"{len(f_seq)} correction fields need {len(f_seq) - 1} inter-frame flows, "
-            f"got {len(f_fwd_seq)}"
-        )
-    fields = iter(f_seq)
-    first = next(fields)
-    residuals = (np.stack(r, axis=-1)
-                 for r in backward_residuals(itertools.chain([first], fields), f_fwd_seq))
-    yield from _prefix_sums(itertools.chain([np.zeros(first.shape + (2,))], residuals))
+    return _prefix_sums(_residual_stream(f_seq, f_fwd_seq))
 
 
 def trajectory_of_sequence(f_seq, f_fwd_seq) -> TrajectorySeries:
-    """Trajectory of a corrected sequence from its flows: every step of
+    """Trajectory of a corrected sequence from its flows: the residuals of
     trajectory_steps, stacked. A single-frame sequence yields the trivial
     zero series.
     """
-    steps = list(trajectory_steps(list(f_seq), list(f_fwd_seq)))
-    return TrajectorySeries(residuals=np.stack([r for r, _ in steps], axis=0),
-                            positions=np.stack([pos for _, pos in steps], axis=0))
+    return TrajectorySeries(np.stack(list(_residual_stream(list(f_seq), list(f_fwd_seq)))))
 
 
 def fit_similarity(field) -> tuple[float, float, float, float]:

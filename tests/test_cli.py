@@ -120,13 +120,21 @@ def test_load_config_rejects_unknown_and_invalid(tmp_path):
 
 
 def test_shipped_configs_load():
-    """sample_config.ini and every benchmark workload pass load_config."""
+    """sample_config.ini and every benchmark workload pass load_config, and
+    keep the config hash that manifest.json and metrics.json record."""
     root = Path(__file__).resolve().parent.parent
     workloads = sorted((root / "bench" / "workloads").glob("*.ini"))
     assert workloads
+    pinned = {
+        "sample_config.ini": "8a8d409d5ce454cff29aea0f9701944eea4ccf3a2e4c61c3e346ffd8595125bf",
+        "sample_clip.ini": "8a8d409d5ce454cff29aea0f9701944eea4ccf3a2e4c61c3e346ffd8595125bf",
+        "long_clip.ini": "2a9152b2d17d6fd05e6235f5557242e8b3e41673db4cecb72d6c31467349a26d",
+        "hires_flow.ini": "2f6d1db37aeeea5bb7837c8ffe11ab100c9bb65cd1df81668e19544292a0b0f9",
+    }
     for path in [root / "sample_config.ini", *workloads]:
         cfg = load_config(path, seed=3)
         assert cfg.mode == "synthetic" and cfg.low_band == (2, 3), path
+        assert cli._config_digest(cfg) == pinned[path.name], path
 
 
 def test_cli_exit_codes(tmp_path, capsys):
@@ -194,9 +202,21 @@ def test_bad_adapt_settings_fail_at_load_and_write_nothing(tmp_path, capsys,
     assert not out.exists()
 
 
-_INGEST_PATHS = _with_setting("ingest", "pseudo_dir", "pseudo",
-                              _with_setting("ingest", "frames_dir", "frames",
-                                            _with_setting("pipeline", "mode", "ingest")))
+def _in_ingest_mode(text):
+    """text with mode = ingest: the keys only synthetic runs read give way
+    to the [ingest] paths that ingest runs require."""
+    ini = configparser.ConfigParser(interpolation=None)
+    ini.read_string(text)
+    for section, key in config._MODE_KEYS["synthetic"]:
+        ini.remove_option(section, key)
+    ini["pipeline"]["mode"] = "ingest"
+    ini["ingest"] = {"frames_dir": "in/frames", "pseudo_dir": "in/pseudo"}
+    text = io.StringIO()
+    ini.write(text)
+    return text.getvalue()
+
+
+_INGEST_PATHS = _in_ingest_mode(_SMALL)
 _EMPTY_PATHS = [
     ("out =", _with_setting("pipeline", "out", ""), []),
     ("--out ''", _SMALL, ["--out", ""]),
@@ -224,7 +244,7 @@ def test_empty_path_or_negative_seed_flag_fails_at_load(tmp_path, capsys, monkey
 
 def test_focal_length_limit_is_synths_own(tmp_path):
     """A synthetic config loads exactly when synth can render its corners;
-    an ingest run never renders, so any positive focal length loads."""
+    an ingest run never renders, so its config may not set focal_px."""
     for focal, ok in (("16.61", False), ("16.62", True)):
         path = _write_config(tmp_path, _with_setting("camera", "focal_px", focal), "f.ini")
         if ok:
@@ -232,8 +252,9 @@ def test_focal_length_limit_is_synths_own(tmp_path):
         else:
             with pytest.raises(ConfigError, match="focal_px = 16.61: view angle"):
                 load_config(path)
-    ingest = _with_setting("camera", "focal_px", "5", _with_setting("pipeline", "mode", "ingest"))
-    assert load_config(_write_config(tmp_path, ingest, "i.ini")).camera.focal_px == 5.0
+    ingest = _with_setting("camera", "focal_px", "5", _INGEST_PATHS)
+    with pytest.raises(ConfigError, match=r"\[camera\] focal_px is read only in synthetic mode"):
+        load_config(_write_config(tmp_path, ingest, "i.ini"))
 
 
 def test_non_utf8_config_is_a_config_error(tmp_path, capsys):
@@ -264,7 +285,8 @@ def test_adapt_settings_are_parsed_with_adaptation_off(tmp_path, capsys):
     assert not out.exists()
 
 
-# One valid value per config key, each different from what _SMALL loads.
+# One valid value per config key, each different from what _SMALL loads,
+# or for an [ingest] key from what _INGEST_PATHS loads.
 _KEY_VALUES = {
     ("pipeline", "mode"): "ingest",
     ("pipeline", "seed"): "6",
@@ -300,15 +322,34 @@ _KEY_VALUES = {
 
 def test_every_config_key_drives_something(tmp_path):
     """Each key of the schema, set on its own, changes the loaded config.
-    [ingest] keys are set on an ingest config, the only mode that reads them."""
+    [ingest] keys are set on _INGEST_PATHS, an ingest config, the only mode
+    that reads them. Each mode requires keys that the other rejects, so
+    mode = ingest turns _SMALL into _INGEST_PATHS."""
     assert set(_KEY_VALUES) == {(s, k) for s, keys in config._SCHEMA.items() for k in keys}
-    ingest = _with_setting("pipeline", "mode", "ingest")
     bases = {text: load_config(_write_config(tmp_path, text, "base.ini"))
-             for text in (_SMALL, ingest)}
+             for text in (_SMALL, _INGEST_PATHS)}
     for (section, key), value in _KEY_VALUES.items():
-        text = ingest if section == "ingest" else _SMALL
-        path = _write_config(tmp_path, _with_setting(section, key, value, text), "key.ini")
-        assert load_config(path) != bases[text], f"[{section}] {key} = {value}"
+        base = _INGEST_PATHS if section == "ingest" else _SMALL
+        text = _in_ingest_mode(base) if key == "mode" else _with_setting(section, key, value, base)
+        path = _write_config(tmp_path, text, "key.ini")
+        assert load_config(path) != bases[base], f"[{section}] {key} = {value}"
+
+
+def test_ingest_config_may_not_set_what_only_synth_reads(tmp_path, capsys):
+    """The synthetic world, its seed and its frame count drive only the
+    synth stage, which ingest runs never have: an ingest config or command
+    that sets one exits 2, names the first, and writes nothing."""
+    text = _INGEST_PATHS
+    for section, key, value in (("pipeline", "frames", "3"), ("camera", "width", "40"),
+                                ("jitter", "amplitude", "9"), ("scene", "n_lines", "1")):
+        text = _with_setting(section, key, value, text)
+    out = tmp_path / "run"
+    for cfg, flags, name in ((_write_config(tmp_path, text, "world.ini"), [], "[pipeline] frames"),
+                             (_write_config(tmp_path, _INGEST_PATHS), ["--seed", "4"], "--seed")):
+        assert main(["pipeline", "--config", str(cfg), "--out", str(out), *flags]) == 2
+        assert capsys.readouterr().err == (f"config error: {name} is read only in synthetic "
+                                           "mode; remove it or set [pipeline] mode = synthetic\n")
+        assert not out.exists()
 
 
 @pytest.mark.parametrize("command", ["trajectory", "adapt"])
@@ -321,8 +362,8 @@ def test_flow_count_mismatch_fails_before_creating_out(tmp_path, capsys, command
     flows.mkdir()
     for path in sorted((src / "flows_gt").glob("*_fwd.flo"))[:5]:
         (flows / path.name).write_bytes(path.read_bytes())
-    text = ("[pipeline]\nmode = ingest\nseed = 5\n[metrics]\nlow_band = 2,3\n[ingest]\n"
-            f"pseudo_dir = {src / 'pseudo'}\nflows_dir = {flows}\n")
+    text = ("[pipeline]\nmode = ingest\n[metrics]\nlow_band = 2,3\n[ingest]\n"
+            f"frames_dir = {src / 'frames'}\npseudo_dir = {src / 'pseudo'}\nflows_dir = {flows}\n")
     out = tmp_path / "run"
     assert main([command, "--config", str(_write_config(tmp_path, text, "ingest.ini")),
                  "--out", str(out)]) == 3
@@ -386,7 +427,7 @@ def test_ingest_low_band_that_scores_every_bin_fails_before_writing(tmp_path, ca
     all of them, so stability would read 1.0 whatever the motion."""
     src = tmp_path / "src"
     assert main(["synth", "--config", str(_write_config(tmp_path)), "--out", str(src)]) == 0
-    text = "[pipeline]\nmode = ingest\nseed = 5\n[ingest]\n" + "".join(
+    text = "[pipeline]\nmode = ingest\n[ingest]\n" + "".join(
         f"{key} = {src / sub}\n" for key, sub in (("frames_dir", "frames"),
                                                   ("flows_dir", "flows_gt"),
                                                   ("pseudo_dir", "pseudo")))
@@ -436,7 +477,7 @@ def test_main_dispatches_through_module_globals(tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("command", ["flow", "correct", "pipeline"])
 def test_ingest_without_frames_dir_fails_before_creating_out(tmp_path, capsys, command):
-    cfg = _write_config(tmp_path, "[pipeline]\nmode = ingest\nseed = 1\n")
+    cfg = _write_config(tmp_path, "[pipeline]\nmode = ingest\n")
     out = tmp_path / "out_ing"
     assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
     assert "frames_dir" in capsys.readouterr().err
@@ -445,7 +486,7 @@ def test_ingest_without_frames_dir_fails_before_creating_out(tmp_path, capsys, c
 
 @pytest.mark.parametrize("command", ["correct", "trajectory", "adapt", "metrics", "pipeline"])
 def test_ingest_without_pseudo_dir_fails_at_config_and_writes_nothing(tmp_path, capsys, command):
-    text = f"[pipeline]\nmode = ingest\nseed = 1\n[ingest]\nframes_dir = {tmp_path / 'absent'}\n"
+    text = f"[pipeline]\nmode = ingest\n[ingest]\nframes_dir = {tmp_path / 'absent'}\n"
     out = tmp_path / "run"
     assert main([command, "--config", str(_write_config(tmp_path, text)), "--out", str(out)]) == 2
     assert "[ingest] pseudo_dir" in capsys.readouterr().err
@@ -465,7 +506,7 @@ def test_ingest_missing_input_directory_writes_nothing(tmp_path, capsys, command
     for t in range(2):
         (dirs["frames_dir"] / f"{t:06d}.ppm").write_bytes(write_ppm(Frame(values=np.full((8, 8), 0.5))))
     dirs[missing] = tmp_path / "absent"
-    text = "[pipeline]\nmode = ingest\nseed = 1\n[ingest]\n"
+    text = "[pipeline]\nmode = ingest\nadaptation = false\n[ingest]\n"
     text += "".join(f"{key} = {path}\n" for key, path in dirs.items())
     out = tmp_path / "run"
     assert main([command, "--config", str(_write_config(tmp_path, text)), "--out", str(out)]) == 3
@@ -631,7 +672,6 @@ def test_ingest_mode_runs_on_exported_artifacts(tmp_path):
     ingest_text = f"""
 [pipeline]
 mode = ingest
-seed = 5
 [losses]
 lambda_temporal = 10
 mu_mask = 0.1
@@ -686,7 +726,7 @@ def _ingest_text(src: Path, **keys) -> str:
     """An ingest config on the frames and pseudo-labels of the synthetic
     run under src, plus the given [ingest] keys."""
     keys = {"frames_dir": src / "frames", "pseudo_dir": src / "pseudo", **keys}
-    return ("[pipeline]\nmode = ingest\nseed = 5\n[losses]\nmu_mask = 0.1\n"
+    return ("[pipeline]\nmode = ingest\n[losses]\nmu_mask = 0.1\n"
             "[adapt]\nmax_iters = 40\n[metrics]\nlow_band = 2,3\n[ingest]\n"
             + "".join(f"{key} = {path}\n" for key, path in keys.items()))
 
@@ -841,20 +881,38 @@ def test_failed_manifest_leaves_out_as_it_was(tmp_path, capsys, monkeypatch, com
 
 
 def test_pipelines_that_fail_after_a_stage_leave_no_out(tmp_path, capsys):
-    """A 1-frame synthetic pipeline fails at its flow stage, and a 2-frame
-    ingest one at its adapt stage, after earlier stages wrote: neither
-    leaves the --out it created."""
+    """A 1-frame synthetic pipeline fails at its flow stage, after synth
+    wrote, and a 2-frame adapting ingest one as a config error once its
+    inputs are listed: neither leaves the --out it created."""
     off = _SMALL.replace("adaptation = true", "adaptation = false")
     one = _write_config(tmp_path, off.replace("frames = 8", "frames = 1"), "one.ini")
     two = _write_config(tmp_path, off.replace("frames = 8", "frames = 2"), "two.ini")
     src = tmp_path / "src"
     assert main(["synth", "--config", str(two), "--out", str(src)]) == 0
     ingest = _write_config(tmp_path, _ingest_text(src), "ingest.ini")
-    for cfg in (one, ingest):
+    for cfg, code, error in ((one, 3, "data error: "), (ingest, 2, "config error: ")):
         out = tmp_path / f"run_{cfg.stem}"
-        assert main(["pipeline", "--config", str(cfg), "--out", str(out)]) == 3
-        assert capsys.readouterr().err.startswith("data error: ")
+        assert main(["pipeline", "--config", str(cfg), "--out", str(out)]) == code
+        assert capsys.readouterr().err.startswith(error)
         assert not out.exists()
+
+
+def test_short_adapting_ingest_clip_fails_before_its_flow_stage(tmp_path, capsys, monkeypatch):
+    """Adaptation needs 3 frames. An ingest run learns its count when it
+    first lists an input, so a 2-frame clip exits 2 before a flow is
+    estimated, as a 2-frame synthetic config does at load."""
+    two = _SMALL.replace("frames = 8", "frames = 2").replace("adaptation = true",
+                                                            "adaptation = false")
+    src = tmp_path / "src"
+    assert main(["synth", "--config", str(_write_config(tmp_path, two)), "--out", str(src)]) == 0
+    calls = []
+    monkeypatch.setattr(cli, "estimate_flow", lambda *args: calls.append(args))
+    out = tmp_path / "run"
+    cfg = _write_config(tmp_path, _ingest_text(src), "ingest.ini")
+    assert main(["pipeline", "--config", str(cfg), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (f"config error: *.ppm files under {src / 'frames'}: "
+                                       "adaptation needs >= 3 frames, got 2\n")
+    assert calls == [] and not out.exists()
 
 
 def test_stage_that_fails_midway_leaves_out_as_it_was(tmp_path, capsys, monkeypatch):
